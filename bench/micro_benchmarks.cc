@@ -98,6 +98,31 @@ void BM_SocketMessageRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SocketMessageRoundTrip)->Arg(500);
 
+void BM_SocketConnectChurn(benchmark::State& state) {
+  // The per-connection cost on its own: connect, accept, one message,
+  // close, N times (the per-job PMI/stdout/MPI wire-up pattern of Fig 9).
+  for (auto _ : state) {
+    sim::Engine e;
+    net::Network net(e, std::make_shared<net::EthernetFabric>());
+    auto listener = net.listen({1, 9});
+    const auto n = static_cast<int>(state.range(0));
+    e.spawn("server", [](net::Listener& l) -> sim::Task<void> {
+      while (auto s = co_await l.accept()) (void)co_await s->recv();
+    }(*listener));
+    e.spawn("client", [](net::Network& net, int n) -> sim::Task<void> {
+      for (int i = 0; i < n; ++i) {
+        auto s = co_await net.connect(0, {1, 9});
+        s->send(net::Message("hello"));
+        s->close();
+      }
+    }(net, n));
+    e.run();
+    benchmark::DoNotOptimize(e.events_executed());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SocketConnectChurn)->Arg(500);
+
 void BM_LjStep(benchmark::State& state) {
   md::LjConfig config;
   config.particles = static_cast<std::size_t>(state.range(0));

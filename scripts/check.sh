@@ -5,6 +5,9 @@
 #   scripts/check.sh --asan     # also build asan-ubsan and run chaos+retry
 #   scripts/check.sh --all      # both of the above
 #
+# Both presets configure with -DJETS_WERROR=ON, so a compiler warning
+# anywhere in the tree fails the check.
+#
 # The default preset run is the ROADMAP tier-1 gate: every ctest entry
 # (labels unit, property, chaos, retry, obs, scale, recovery, staging,
 # elastic, rpc) must pass, and the
@@ -33,7 +36,8 @@
 # the observability suite (-L obs), the RPC conformance + fuzz battery
 # (-L rpc, whose malformed-frame corpus is the decoders' memory-safety
 # oracle), and the engine/sync tests, which
-# exercise the slab allocators' recycling paths hardest. The sanitizer
+# exercise the slab allocators' recycling paths hardest, plus the
+# allocation-budget tests (the intrusive wait lists' unlink paths). The sanitizer
 # pass also replays scheduler_equiv.sh against the asan build: the typed
 # RPC layer must keep all 15 figures byte-identical under instrumentation
 # too (same simulation, same bytes).
@@ -52,7 +56,7 @@ done
 
 if [[ "$run_default" == 1 ]]; then
   echo "== tier-1 verify (default preset) =="
-  cmake --preset default
+  cmake --preset default -DJETS_WERROR=ON
   cmake --build --preset default -j "$(nproc)"
   ctest --preset default -j "$(nproc)"
 
@@ -150,7 +154,7 @@ fi
 
 if [[ "$run_asan" == 1 ]]; then
   echo "== chaos + retry + property + engine under ASan/UBSan =="
-  cmake --preset asan-ubsan
+  cmake --preset asan-ubsan -DJETS_WERROR=ON
   cmake --build --preset asan-ubsan -j "$(nproc)"
   ctest --preset asan-ubsan --no-tests=error -L chaos -j "$(nproc)"
   ctest --preset asan-ubsan --no-tests=error -L retry -j "$(nproc)"
@@ -162,7 +166,7 @@ if [[ "$run_asan" == 1 ]]; then
   ctest --preset asan-ubsan --no-tests=error -L elastic -j "$(nproc)"
   ctest --preset asan-ubsan --no-tests=error -L rpc -j "$(nproc)"
   ctest --preset asan-ubsan --no-tests=error -j "$(nproc)" \
-    -R '^(Engine|Channel|Semaphore|Gate|Time|Rng)\.'
+    -R '^(Engine|Channel|Semaphore|Gate|Time|Rng|AllocBudget)\.'
 
   echo "== scheduler equivalence vs golden manifest (asan build) =="
   ./scripts/scheduler_equiv.sh build-asan

@@ -1,13 +1,13 @@
 // Arena allocator for in-flight net::Message payloads.
 //
 // Every buffered send used to move its Message into a per-send heap
-// closure (tag string + args vector + connection ref blow past
-// std::function's 16-byte inline buffer), so a launch burst at 10^5..10^6
-// messages paid an allocation and a fat copy per delivery event. Instead,
-// in-flight messages now live in this slab — the EventSlot idiom from
-// sim/engine.hh: deque-backed slots, intrusive LIFO free list — threaded
-// into per-pipe FIFO chains by slot index, and the delivery closure shrinks
-// to one aliasing shared_ptr (16 bytes, no allocation).
+// closure (tag string + args vector + connection ref), so a launch burst
+// at 10^5..10^6 messages paid an allocation and a fat copy per delivery
+// event. Instead, in-flight messages now live in this slab — the EventSlot
+// idiom from sim/engine.hh: deque-backed slots, intrusive LIFO free list —
+// threaded into per-pipe FIFO chains by slot index, and the delivery
+// closure shrinks to one aliasing shared_ptr. That closure fits the inline
+// buffer of the engine's sim::Callback, so it does not allocate either.
 //
 // Delivery stays one engine event per send (so the event heap's (time,
 // seq) reservations are byte-identical to the unbatched scheme), but each

@@ -44,9 +44,10 @@ void Socket::send(Message m) {
   pipe.park(std::move(m), deliver_at);
   // Still one engine event per send — the event heap's (time, seq) layout
   // is byte-identical to the per-message scheme — but the payload lives in
-  // the arena, and the closure is a single aliasing shared_ptr: 16 bytes,
-  // inside std::function's inline buffer, so a send allocates nothing on
-  // the delivery path. The earliest event of a same-instant burst drains
+  // the arena, and the closure is a single aliasing shared_ptr held inline
+  // by the event's sim::Callback. So a send allocates nothing beyond the
+  // Message the caller built (and an arena or event slab growing past its
+  // high-water mark). The earliest event of a same-instant burst drains
   // the whole due batch (Pipe::flush); its siblings find the chain empty.
   net_->engine().call_at(
       deliver_at,
@@ -67,16 +68,6 @@ sim::Task<void> Socket::send_sync(Message m) {
       [p = std::shared_ptr<detail::Pipe>(conn_, &pipe)] { p->flush(); });
   const sim::Duration wait = sent_at - net_->engine().now();
   if (wait > 0) co_await sim::delay(wait);
-}
-
-sim::Task<std::optional<Message>> Socket::recv() {
-  if (!open_) co_return std::nullopt;
-  co_return co_await in().inbox.recv();
-}
-
-sim::Task<std::optional<Message>> Socket::recv_for(sim::Duration timeout) {
-  if (!open_) co_return std::nullopt;
-  co_return co_await in().inbox.recv_for(timeout);
 }
 
 bool Socket::eof() const { return in().inbox.closed() && in().inbox.empty(); }
@@ -106,11 +97,6 @@ Listener::Listener(Network& net, Address addr)
 
 Listener::~Listener() { close(); }
 
-sim::Task<SocketPtr> Listener::accept() {
-  auto s = co_await pending_.recv();
-  co_return s ? *s : nullptr;
-}
-
 void Listener::close() {
   if (!open_) return;
   open_ = false;
@@ -139,6 +125,16 @@ sim::Task<SocketPtr> Network::connect(NodeId from, Address to) {
   if (it == listeners_.end() || !it->second->open_) throw ConnectError(to);
   auto conn =
       std::make_shared<detail::Connection>(*engine_, arena_, from, to.node);
+  // Prune dead entries before the vector would grow, so it stays bounded
+  // by the live connections and steady connect/close churn never
+  // reallocates. (A dead entry's weak_ptr also pins its Connection's
+  // make_shared block.) Capacity doubles when pruning frees under half.
+  if (connections_.size() == connections_.capacity()) {
+    prune_connections();
+    if (connections_.size() * 2 > connections_.capacity()) {
+      connections_.reserve(2 * connections_.capacity());
+    }
+  }
   connections_.push_back(conn);
   auto client = std::make_shared<Socket>(*this, conn, /*is_a=*/true);
   auto server = std::make_shared<Socket>(*this, conn, /*is_a=*/false);
@@ -159,14 +155,17 @@ sim::Time Network::stall_until(NodeId node) const {
   return it == stalled_.end() ? 0 : it->second;
 }
 
+void Network::prune_connections() {
+  std::erase_if(connections_, [](const std::weak_ptr<detail::Connection>& w) {
+    return w.expired();  // all endpoints gone
+  });
+}
+
 std::size_t Network::reset_node(NodeId node) {
   std::size_t reset = 0;
-  std::vector<std::weak_ptr<detail::Connection>> live;
-  live.reserve(connections_.size());
-  for (auto& weak : connections_) {
-    auto conn = weak.lock();
-    if (!conn) continue;  // all endpoints gone: prune
-    live.push_back(weak);
+  prune_connections();
+  for (const auto& weak : connections_) {
+    const auto conn = weak.lock();
     if (conn->node_a != node && conn->node_b != node) continue;
     if (conn->a_to_b.closed && conn->b_to_a.closed) continue;  // already dead
     // RST semantics: both directions die *now* — in-flight bytes vanish
@@ -177,7 +176,6 @@ std::size_t Network::reset_node(NodeId node) {
     }
     ++reset;
   }
-  connections_ = std::move(live);
   return reset;
 }
 

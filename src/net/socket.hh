@@ -157,11 +157,15 @@ class Socket {
   sim::Task<void> send_sync(Message m);
 
   /// Receives the next message; std::nullopt = EOF (peer closed or died).
-  sim::Task<std::optional<Message>> recv();
+  /// The awaiter parks directly on the inbox, so the wake-up resumes the
+  /// caller with no intermediate coroutine.
+  sim::Channel<Message>::RecvAwaiter recv() { return recv_for(-1); }
 
   /// recv with a timeout; std::nullopt = timeout *or* EOF. Callers that
   /// must distinguish check eof() afterwards.
-  sim::Task<std::optional<Message>> recv_for(sim::Duration timeout);
+  sim::Channel<Message>::RecvAwaiter recv_for(sim::Duration timeout) {
+    return {open_ ? &in().inbox : nullptr, timeout};
+  }
 
   /// True once the peer has closed and the inbox has drained.
   bool eof() const;
@@ -191,8 +195,21 @@ class Listener {
 
   Address address() const { return addr_; }
 
-  /// Waits for the next inbound connection; nullopt if the listener closed.
-  sim::Task<SocketPtr> accept();
+  /// `co_await accept()` yields the next inbound connection, or nullptr
+  /// once the listener is closed.
+  struct AcceptAwaiter {
+    sim::Channel<SocketPtr>::RecvAwaiter next;
+    bool await_ready() { return next.await_ready(); }
+    template <typename Promise>
+    void await_suspend(std::coroutine_handle<Promise> h) {
+      next.await_suspend(h);
+    }
+    SocketPtr await_resume() {
+      std::optional<SocketPtr> s = next.await_resume();
+      return s ? std::move(*s) : nullptr;
+    }
+  };
+  AcceptAwaiter accept() { return {pending_.recv()}; }
 
   void close();
 
@@ -256,12 +273,15 @@ class Network {
   friend class Listener;
   friend class Socket;
   void unbind(Address addr) { listeners_.erase(addr); }
+  /// Drops connections_ entries whose connection is gone (order-stable).
+  void prune_connections();
 
   sim::Engine* engine_;
   std::shared_ptr<const Fabric> fabric_;
   std::shared_ptr<MessageArena> arena_;
   std::map<Address, Listener*> listeners_;
-  /// Live connections, for reset_node; pruned opportunistically.
+  /// Live connections in creation order, for reset_node; dead entries are
+  /// pruned there and whenever the vector would otherwise grow.
   std::vector<std::weak_ptr<detail::Connection>> connections_;
   std::map<NodeId, sim::Time> stalled_;
 };

@@ -44,15 +44,13 @@ std::uint32_t Engine::alloc_event_slot() {
 
 void Engine::free_event_slot(std::uint32_t slot) {
   EventSlot& s = slots_[slot];
-  assert(s.kind != EventSlot::kFree);
+  assert(!std::holds_alternative<std::monostate>(s.payload));
   // Move the closure out before touching slab metadata: its destructor may
   // call back into the engine (cancel other timers, even allocate slots),
   // so it must run against a consistent slab — after this slot is free.
-  std::function<void()> doomed = std::move(s.fn);
-  s.fn = nullptr;
-  s.handle = {};
-  s.ctx = nullptr;
-  s.kind = EventSlot::kFree;
+  Callback doomed;
+  if (Callback* fn = std::get_if<Callback>(&s.payload)) doomed = std::move(*fn);
+  s.payload.emplace<std::monostate>();
   ++s.gen;  // expire the heap index entry and any TimerHandle copies
   s.next_free = free_events_;
   free_events_ = slot;
@@ -79,8 +77,7 @@ void Engine::compact_heap() {
   auto is_dead = [this](const HeapEntry& e) {
     EventSlot& s = slots_[e.slot];
     if (s.gen != e.gen) return true;
-    if (s.kind == EventSlot::kResume &&
-        !actor_slot_live(s.actor_slot, s.actor_gen)) {
+    if (dead_resumption(s)) {
       free_event_slot(e.slot);
       return true;
     }
@@ -97,28 +94,22 @@ void Engine::compact_heap() {
 void Engine::schedule(Time t, Resumption r) {
   assert(t >= now_);
   const std::uint32_t slot = alloc_event_slot();
-  EventSlot& s = slots_[slot];
-  s.kind = EventSlot::kResume;
-  s.handle = r.handle;
-  s.ctx = r.ctx;
-  s.actor_slot = r.actor_slot;
-  s.actor_gen = r.actor_gen;
+  slots_[slot].payload.emplace<Resumption>(r);
   push_entry(t, slot);
 }
 
-TimerHandle Engine::call_at(Time t, std::function<void()> fn) {
+TimerHandle Engine::call_at(Time t, Callback fn) {
   assert(t >= now_);
   const std::uint32_t slot = alloc_event_slot();
   EventSlot& s = slots_[slot];
-  s.kind = EventSlot::kCallback;
-  s.fn = std::move(fn);
+  s.payload.emplace<Callback>(std::move(fn));
   push_entry(t, slot);
   return TimerHandle(this, slot, s.gen);
 }
 
 void Engine::cancel_event(std::uint32_t slot, std::uint32_t gen) {
   if (slot >= slots_.size() || slots_[slot].gen != gen) return;  // already gone
-  assert(slots_[slot].kind == EventSlot::kCallback);
+  assert(std::holds_alternative<Callback>(slots_[slot].payload));
   ++cancelled_events_;
   ++dead_entries_;  // the index entry stays behind for lazy removal
   free_event_slot(slot);
@@ -237,19 +228,19 @@ void Engine::destroy_actor_slot(std::uint32_t slot, std::exception_ptr error) {
 
 void Engine::dispatch(std::uint32_t slot) {
   EventSlot& s = slots_[slot];
-  if (s.kind == EventSlot::kResume) {
+  if (const Resumption* r = std::get_if<Resumption>(&s.payload)) {
     // Copy the payload out and free the slot *before* resuming: the resumed
     // coroutine may schedule, cancel, or trigger a compaction (all of which
     // may touch or even reallocate the slab).
-    std::coroutine_handle<> h = s.handle;
-    ActorContext* ctx = s.ctx;
+    const std::coroutine_handle<> h = r->handle;
+    const ActorContext* ctx = r->ctx;
     free_event_slot(slot);
     ++events_executed_;
     running_actor_ = ctx->id;
     h.resume();
     running_actor_ = 0;
   } else {
-    std::function<void()> fn = std::move(s.fn);
+    Callback fn = std::move(std::get<Callback>(s.payload));
     free_event_slot(slot);
     ++events_executed_;
     fn();
@@ -273,8 +264,7 @@ Time Engine::run_until(Time limit) {
         pop_top();
         continue;
       }
-      if (s.kind == EventSlot::kResume &&
-          !actor_slot_live(s.actor_slot, s.actor_gen)) {
+      if (dead_resumption(s)) {
         free_event_slot(top.slot);
         pop_top();
         continue;

@@ -29,12 +29,16 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "sim/task.hh"
@@ -55,6 +59,88 @@ class EngineObserver {
 };
 
 class Engine;
+
+/// A move-only `void()` callable: the payload of a callback event. Unlike
+/// std::function (whose libstdc++ small buffer takes only trivially
+/// copyable functors of up to 16 bytes), any nothrow-movable closure of up
+/// to kInlineBytes lives inline, so the engine's own closures (a socket's
+/// delivery or EOF event: a shared_ptr plus a flag) and the usual
+/// `[this, id]` timers never allocate. Larger closures go to the heap.
+class Callback {
+ public:
+  static constexpr std::size_t kInlineBytes = 48;
+
+  Callback() noexcept = default;
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, Callback> &&
+             std::is_invocable_v<std::decay_t<F>&>)
+  Callback(F&& f) {  // implicit, so call_at(t, [..] { .. }) just works
+    using Fn = std::decay_t<F>;
+    if constexpr (kFitsInline<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &kInlineOps<Fn>;
+    } else {
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
+      ops_ = &kHeapOps<Fn>;
+    }
+  }
+  Callback(Callback&& o) noexcept { take(o); }
+  Callback& operator=(Callback&& o) noexcept {
+    if (this != &o) {
+      reset();
+      take(o);
+    }
+    return *this;
+  }
+  Callback(const Callback&) = delete;
+  Callback& operator=(const Callback&) = delete;
+  ~Callback() { reset(); }
+
+  void operator()() { ops_->invoke(buf_); }
+
+ private:
+  struct Ops {
+    void (*invoke)(void*);
+    void (*move)(void* dst, void* src) noexcept;  // leaves src destroyed
+    void (*destroy)(void*) noexcept;
+  };
+
+  template <typename Fn>
+  static constexpr bool kFitsInline =
+      sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(void*) &&
+      std::is_nothrow_move_constructible_v<Fn>;
+
+  template <typename Fn>
+  static constexpr Ops kInlineOps = {
+      [](void* p) { (*static_cast<Fn*>(p))(); },
+      [](void* dst, void* src) noexcept {
+        Fn* from = static_cast<Fn*>(src);
+        ::new (dst) Fn(std::move(*from));
+        from->~Fn();
+      },
+      [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); }};
+
+  template <typename Fn>
+  static constexpr Ops kHeapOps = {
+      [](void* p) { (**static_cast<Fn**>(p))(); },
+      [](void* dst, void* src) noexcept {
+        ::new (dst) Fn*(*static_cast<Fn**>(src));
+      },
+      [](void* p) noexcept { delete *static_cast<Fn**>(p); }};
+
+  void reset() noexcept {
+    if (ops_) std::exchange(ops_, nullptr)->destroy(buf_);
+  }
+
+  void take(Callback& o) noexcept {
+    if (!o.ops_) return;
+    o.ops_->move(buf_, o.buf_);
+    ops_ = std::exchange(o.ops_, nullptr);
+  }
+
+  alignas(void*) unsigned char buf_[kInlineBytes];
+  const Ops* ops_ = nullptr;
+};
 
 /// Handle to a scheduled callback; cancel() prevents a pending fire and
 /// releases the callback's captures immediately. Copyable; all copies refer
@@ -146,8 +232,8 @@ class Engine {
   void add_joiner(ActorId id, Resumption r);
 
   /// Queues a plain callback at absolute time `t`.
-  TimerHandle call_at(Time t, std::function<void()> fn);
-  TimerHandle call_in(Duration d, std::function<void()> fn) {
+  TimerHandle call_at(Time t, Callback fn);
+  TimerHandle call_in(Duration d, Callback fn) {
     return call_at(now_ + d, std::move(fn));
   }
 
@@ -211,7 +297,9 @@ class Engine {
   std::optional<Time> event_time(std::uint32_t slot, std::uint32_t gen) const {
     if (slot >= slots_.size()) return std::nullopt;
     const EventSlot& s = slots_[slot];
-    if (s.gen != gen || s.kind != EventSlot::kCallback) return std::nullopt;
+    if (s.gen != gen || !std::holds_alternative<Callback>(s.payload)) {
+      return std::nullopt;
+    }
     return s.at;
   }
   /// Epoch check: does (slot, gen) still name a live actor?
@@ -243,24 +331,18 @@ class Engine {
     std::optional<Actor> actor;
   };
 
-  /// Slab cell for events. Exactly one payload is meaningful per kind.
-  /// `gen` is bumped when the slot is freed (fire, cancel, or sweep), which
-  /// expires the heap index entry and any TimerHandle pointing here.
+  /// Slab cell for events: free (monostate), a coroutine resumption, or a
+  /// callback. The variant overlays the two payloads, keeping a cell at 80
+  /// bytes. `gen` is bumped when the slot is freed (fire, cancel, or
+  /// sweep), which expires the heap index entry and any TimerHandle
+  /// pointing here.
   struct EventSlot {
-    enum Kind : std::uint8_t { kFree, kResume, kCallback };
     std::uint32_t gen = 0;
-    Kind kind = kFree;
     std::uint32_t next_free = kNoSlot;
-    // kResume payload:
-    std::coroutine_handle<> handle{};
-    ActorContext* ctx = nullptr;
-    std::uint32_t actor_slot = 0;
-    std::uint32_t actor_gen = 0;
-    // kCallback payload:
-    std::function<void()> fn;
     /// Absolute fire time, mirrored from the heap entry so event_time()
     /// can answer without searching the heap.
     Time at = 0;
+    std::variant<std::monostate, Resumption, Callback> payload;
   };
 
   /// What the priority queue actually sifts: 24 bytes, trivially copyable.
@@ -292,6 +374,13 @@ class Engine {
     if (dead_entries_ >= kCompactMin && dead_entries_ * 2 >= heap_.size()) {
       compact_heap();
     }
+  }
+
+  /// A resumption whose actor has finished or been killed: skipped (and
+  /// its slot freed) without executing or advancing the clock.
+  bool dead_resumption(const EventSlot& s) const {
+    const Resumption* r = std::get_if<Resumption>(&s.payload);
+    return r != nullptr && !actor_slot_live(r->actor_slot, r->actor_gen);
   }
 
   std::uint32_t alloc_actor_slot();

@@ -7,10 +7,18 @@
 // current simulated time rather than resuming inline. This keeps the event
 // loop the only resumer (bounded stack depth) and preserves deterministic
 // FIFO ordering between equal-time wakeups.
+//
+// Allocation budget: building a Channel or Semaphore allocates nothing, and
+// neither does parking a receive or an acquire. A parked waiter is a node
+// embedded in its awaiter, which lives in the suspended coroutine's frame,
+// threaded onto an intrusive FIFO (detail::WaitList). A channel's buffer is
+// a vector with a head index, so memory is taken only when a value is
+// actually queued. Only recv_for allocates, a small state shared with its
+// timer (see Channel::RecvAwaiter).
 #pragma once
 
 #include <cassert>
-#include <deque>
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -62,6 +70,77 @@ class Gate {
   std::vector<Resumption> waiters_;
 };
 
+namespace detail {
+
+class WaitList;
+
+/// A parked waiter: the resumption plus its links in a WaitList. Awaiters
+/// derive from it, so the node lives in the suspended coroutine's frame and
+/// parking allocates nothing. `list` is non-null exactly while linked.
+struct Waiter {
+  Waiter() = default;
+  Waiter(const Waiter&) = delete;
+  Waiter& operator=(const Waiter&) = delete;
+
+  Resumption resume;
+  WaitList* list = nullptr;
+  Waiter* prev = nullptr;
+  Waiter* next = nullptr;
+};
+
+/// Intrusive FIFO of parked waiters. A waiter unlinks itself when its frame
+/// is destroyed (actor kill); destroying the list detaches whatever is still
+/// parked, since frames can outlive the primitive (Engine::shutdown tears
+/// actors down after the objects they waited on may be gone).
+class WaitList {
+ public:
+  WaitList() = default;
+  WaitList(const WaitList&) = delete;
+  WaitList& operator=(const WaitList&) = delete;
+  ~WaitList() {
+    while (head_) remove(*head_);
+  }
+
+  bool empty() const noexcept { return head_ == nullptr; }
+  std::size_t size() const noexcept { return size_; }
+
+  void push_back(Waiter& w) {
+    assert(w.list == nullptr);
+    w.list = this;
+    w.prev = tail_;
+    w.next = nullptr;
+    (tail_ ? tail_->next : head_) = &w;
+    tail_ = &w;
+    ++size_;
+  }
+
+  void remove(Waiter& w) noexcept {
+    assert(w.list == this);
+    (w.prev ? w.prev->next : head_) = w.next;
+    (w.next ? w.next->prev : tail_) = w.prev;
+    w.list = nullptr;
+    w.prev = w.next = nullptr;
+    --size_;
+  }
+
+  /// Unlinks and returns the oldest waiter whose actor is still alive,
+  /// dropping expired ones on the way; nullptr if none is left.
+  Waiter* pop_live() noexcept {
+    while (Waiter* w = head_) {
+      remove(*w);
+      if (!w->resume.expired()) return w;
+    }
+    return nullptr;
+  }
+
+ private:
+  Waiter* head_ = nullptr;
+  Waiter* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+}  // namespace detail
+
 /// Unbounded FIFO message channel. Senders never block; receivers block
 /// until a value arrives, the channel is closed, or (recv_for) a timeout
 /// elapses. Receivers whose actor has been killed are skipped.
@@ -71,6 +150,8 @@ class Gate {
 template <typename T>
 class Channel {
  public:
+  class RecvAwaiter;
+
   explicit Channel(Engine& engine) : engine_(&engine) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -78,13 +159,8 @@ class Channel {
   /// Enqueues a value; delivers directly to the oldest live waiter if any.
   void push(T value) {
     assert(!closed_ && "push on closed channel");
-    while (!waiters_.empty()) {
-      WaitNode node = std::move(waiters_.front());
-      waiters_.pop_front();
-      if (node.state->settled || node.resume.expired()) continue;
-      node.state->settled = true;
-      node.state->value = std::move(value);
-      engine_->schedule(engine_->now(), std::move(node.resume));
+    if (detail::Waiter* w = waiters_.pop_live()) {
+      static_cast<RecvAwaiter*>(w)->settle(std::move(value));
       return;
     }
     buffer_.push_back(std::move(value));
@@ -95,85 +171,115 @@ class Channel {
   void close() {
     if (closed_) return;
     closed_ = true;
-    for (WaitNode& node : waiters_) {
-      if (node.state->settled) continue;
-      node.state->settled = true;  // value stays nullopt -> "closed"
-      engine_->schedule(engine_->now(), std::move(node.resume));
+    while (detail::Waiter* w = waiters_.pop_live()) {
+      static_cast<RecvAwaiter*>(w)->settle(std::nullopt);  // "closed"
     }
-    waiters_.clear();
   }
 
   bool closed() const noexcept { return closed_; }
-  bool empty() const noexcept { return buffer_.empty(); }
-  std::size_t size() const noexcept { return buffer_.size(); }
+  bool empty() const noexcept { return head_ == buffer_.size(); }
+  std::size_t size() const noexcept { return buffer_.size() - head_; }
 
   /// `co_await ch.recv()` -> std::optional<T>; nullopt means closed.
-  auto recv() { return RecvAwaiter{this, -1}; }
+  RecvAwaiter recv() { return RecvAwaiter(this, -1); }
 
   /// `co_await ch.recv_for(d)` -> std::optional<T>; nullopt means timeout
   /// or closed. `d < 0` means wait forever.
-  auto recv_for(Duration timeout) { return RecvAwaiter{this, timeout}; }
+  RecvAwaiter recv_for(Duration timeout) { return RecvAwaiter(this, timeout); }
 
- private:
-  struct RecvState {
-    std::optional<T> value;
-    bool settled = false;
-  };
-
-  struct WaitNode {
-    Resumption resume;
-    std::shared_ptr<RecvState> state;
-  };
-
-  struct RecvAwaiter {
-    RecvAwaiter(Channel* ch, Duration timeout) : ch(ch), timeout(timeout) {}
-    Channel* ch;
-    Duration timeout;
-    std::shared_ptr<RecvState> state;
-    std::optional<T> immediate;
-    TimerHandle timer;
+  /// The receive awaitable. It lives in the awaiting coroutine's frame and
+  /// is its own wait-list node, so it is neither copyable nor movable.
+  class RecvAwaiter : private detail::Waiter {
+   public:
+    /// A null channel stands for an endpoint that is already shut: the
+    /// receive completes at once with std::nullopt.
+    RecvAwaiter(Channel* ch, Duration timeout) : ch_(ch), timeout_(timeout) {}
+    ~RecvAwaiter() {
+      if (list) list->remove(*this);
+      if (timed_) timed_->waiter = nullptr;
+    }
 
     bool await_ready() {
-      if (!ch->buffer_.empty()) {
-        immediate = std::move(ch->buffer_.front());
-        ch->buffer_.pop_front();
+      if (!ch_) return true;
+      if (!ch_->empty()) {
+        value_ = ch_->pop_front();
         return true;
       }
-      if (ch->closed_ || timeout == 0) return true;  // nullopt
-      return false;
+      return ch_->closed_ || timeout_ == 0;  // nullopt
     }
 
     template <typename Promise>
     void await_suspend(std::coroutine_handle<Promise> h) {
-      state = std::make_shared<RecvState>();
-      Resumption r = Resumption::of(h, h.promise().context());
-      if (timeout >= 0) {
-        Engine* engine = ch->engine_;
-        // The timer holds its own copies; if it fires first it settles the
-        // state so a later push() skips this node.
-        timer = engine->call_at(
-            engine->now() + timeout,
-            [state = state, r]() mutable {
-              if (state->settled) return;
-              state->settled = true;  // value stays nullopt -> "timeout"
-              if (!r.expired()) {
-                r.engine->schedule(r.engine->now(), std::move(r));
-              }
-            });
-      }
-      ch->waiters_.push_back(WaitNode{std::move(r), state});
+      resume = Resumption::of(h, h.promise().context());
+      if (timeout_ >= 0) arm_timer();
+      ch_->waiters_.push_back(*this);
     }
 
     std::optional<T> await_resume() {
-      if (!state) return std::move(immediate);
-      timer.cancel();
-      return std::move(state->value);
+      timer_.cancel();  // no-op unless a delivery beat the timeout
+      return std::move(value_);
     }
+
+   private:
+    friend class Channel;
+
+    /// What a recv_for timer reaches its waiter through. The timer event
+    /// is never cancelled when the frame dies: it still fires at its
+    /// (time, seq) as a no-op, because a cancelled event does not advance
+    /// the clock and so could move where run_until() stops. The frame
+    /// clears `waiter` on destruction, so the timer cannot dangle.
+    struct Timed {
+      RecvAwaiter* waiter;
+    };
+
+    void arm_timer() {
+      Engine* engine = ch_->engine_;
+      timed_ = std::make_shared<Timed>(Timed{this});
+      timer_ = engine->call_at(engine->now() + timeout_, [t = timed_] {
+        if (t->waiter) t->waiter->settle(std::nullopt);  // "timeout"
+      });
+    }
+
+    /// Completes the wait with `v` (nullopt = closed or timed out) and
+    /// queues the resumption. Later settles (a timer after a delivery, or a
+    /// delivery after the timer) are no-ops.
+    void settle(std::optional<T> v) {
+      if (settled_) return;
+      settled_ = true;
+      if (list) list->remove(*this);
+      value_ = std::move(v);
+      if (!resume.expired()) {
+        resume.engine->schedule(resume.engine->now(), resume);
+      }
+    }
+
+    Channel* ch_;
+    Duration timeout_;
+    bool settled_ = false;
+    std::optional<T> value_;
+    std::shared_ptr<Timed> timed_;
+    TimerHandle timer_;
   };
 
+ private:
+  T pop_front() {
+    T v = std::move(buffer_[head_++]);
+    if (head_ == buffer_.size()) {
+      buffer_.clear();
+      head_ = 0;
+    } else if (head_ > buffer_.size() / 2) {
+      // The consumed prefix passed half: compact, keeping the capacity.
+      buffer_.erase(buffer_.begin(),
+                    buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return v;
+  }
+
   Engine* engine_;
-  std::deque<T> buffer_;
-  std::deque<WaitNode> waiters_;
+  std::vector<T> buffer_;   // live values are [head_, size())
+  std::size_t head_ = 0;
+  detail::WaitList waiters_;
   bool closed_ = false;
 };
 
@@ -183,6 +289,8 @@ class Channel {
 /// cannot leak permits.
 class Semaphore {
  public:
+  class AcquireAwaiter;
+
   Semaphore(Engine& engine, std::size_t permits)
       : engine_(&engine), available_(permits) {}
   Semaphore(const Semaphore&) = delete;
@@ -192,7 +300,7 @@ class Semaphore {
   std::size_t waiting() const noexcept { return waiters_.size(); }
 
   /// `co_await sem.acquire()`: obtains one permit (FIFO order).
-  auto acquire() { return AcquireAwaiter{this}; }
+  AcquireAwaiter acquire() { return AcquireAwaiter(this); }
 
   /// Claims a permit iff one is free right now; never suspends.
   bool try_acquire() {
@@ -203,38 +311,29 @@ class Semaphore {
 
   /// Returns one permit, handing it to the oldest live waiter if any.
   void release() {
-    while (!waiters_.empty()) {
-      WaitNode node = std::move(waiters_.front());
-      waiters_.pop_front();
-      if (node.state->settled || node.resume.expired()) continue;
-      node.state->settled = true;
-      node.state->granted = true;
-      engine_->schedule(engine_->now(), std::move(node.resume));
-      return;  // permit handed over directly
+    if (detail::Waiter* w = waiters_.pop_live()) {
+      static_cast<AcquireAwaiter*>(w)->granted_ = true;  // handed over
+      engine_->schedule(engine_->now(), w->resume);
+      return;
     }
     ++available_;
   }
 
- private:
-  struct AcquireState {
-    bool settled = false;
-    bool granted = false;
-    bool consumed = false;
-  };
-
-  struct WaitNode {
-    Resumption resume;
-    std::shared_ptr<AcquireState> state;
-  };
-
-  struct AcquireAwaiter {
-    explicit AcquireAwaiter(Semaphore* sem) : sem(sem) {}
-    Semaphore* sem;
-    std::shared_ptr<AcquireState> state;
+  /// The acquire awaitable; like Channel::RecvAwaiter, it is its own
+  /// wait-list node in the awaiting frame.
+  class AcquireAwaiter : private detail::Waiter {
+   public:
+    explicit AcquireAwaiter(Semaphore* sem) : sem_(sem) {}
+    ~AcquireAwaiter() {
+      if (list) list->remove(*this);
+      // Frame destroyed after the permit was handed over but before the
+      // coroutine resumed: give the permit back.
+      if (granted_ && !consumed_) sem_->release();
+    }
 
     bool await_ready() {
-      if (sem->available_ > 0) {
-        --sem->available_;
+      if (sem_->available_ > 0) {
+        --sem_->available_;
         return true;
       }
       return false;
@@ -242,25 +341,23 @@ class Semaphore {
 
     template <typename Promise>
     void await_suspend(std::coroutine_handle<Promise> h) {
-      state = std::make_shared<AcquireState>();
-      sem->waiters_.push_back(
-          WaitNode{Resumption::of(h, h.promise().context()), state});
+      resume = Resumption::of(h, h.promise().context());
+      sem_->waiters_.push_back(*this);
     }
 
-    void await_resume() {
-      if (state) state->consumed = true;
-    }
+    void await_resume() noexcept { consumed_ = true; }
 
-    ~AcquireAwaiter() {
-      // Frame destroyed after the permit was handed over but before the
-      // coroutine resumed: give the permit back.
-      if (state && state->granted && !state->consumed) sem->release();
-    }
+   private:
+    friend class Semaphore;
+    Semaphore* sem_;
+    bool granted_ = false;
+    bool consumed_ = false;
   };
 
+ private:
   Engine* engine_;
   std::size_t available_;
-  std::deque<WaitNode> waiters_;
+  detail::WaitList waiters_;
 };
 
 /// RAII permit holder: `auto permit = co_await Permit::acquire(sem);`

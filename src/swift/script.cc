@@ -1,7 +1,9 @@
 #include "swift/script.hh"
 
 #include <cctype>
+#include <charconv>
 #include <optional>
+#include <system_error>
 #include <vector>
 
 namespace jets::swift {
@@ -74,12 +76,12 @@ class Lexer {
         }
         current_.kind = Tok::kFloat;
         current_.text = src_.substr(start, pos_ - start);
-        current_.float_value = std::stod(current_.text);
+        current_.float_value = parse_number<double>(current_.text);
         return;
       }
       current_.kind = Tok::kInt;
       current_.text = src_.substr(start, pos_ - start);
-      current_.int_value = std::stoll(current_.text);
+      current_.int_value = parse_number<std::int64_t>(current_.text);
       return;
     }
     if (c == '"') {
@@ -120,6 +122,19 @@ class Lexer {
       default:
         throw ScriptError(line_, std::string("unexpected character '") + c + "'");
     }
+  }
+
+  /// Converts a digit run the scan above already matched. A literal too
+  /// large for its type is a script error, not a library exception.
+  template <typename Number>
+  Number parse_number(const std::string& text) const {
+    Number value{};
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || end != text.data() + text.size()) {
+      throw ScriptError(line_, "numeric literal out of range: " + text);
+    }
+    return value;
   }
 
   void skip_ws_and_comments() {

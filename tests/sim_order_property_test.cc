@@ -11,6 +11,11 @@
 // and compare orders, and check same-seed runs hash identically
 // (golden-trace determinism).
 //
+// Part 1b — channel delivery. Random push/recv/recv_for/kill/close
+// scripts must deliver the same values at the same times, with the same
+// event count and end time, as a reference model of the deque-based
+// channel (see "Channel differential" below).
+//
 // Part 2 — table churn. The worker SlotMap and the service's lazy-deletion
 // PendingQueue/ReadyPool (core/service.hh, core/table.hh) replace map
 // scans on the million-worker hot path; random enlist/evict/re-enlist and
@@ -21,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -276,6 +282,313 @@ TEST(OrderDifferential, KilledActorsResumptionsAreSkippedInPlace) {
   EXPECT_EQ(fired[1], (std::pair<int, Time>{2, seconds(10)}));
 }
 
+// --- Channel differential --------------------------------------------------
+//
+// Channel<T> keeps its buffer in a head-indexed vector and its waiters in
+// an intrusive list embedded in the awaiters. Random push / recv /
+// recv_for / kill / close scripts run against it and against a plain
+// reference model — a std::deque buffer plus a std::deque of wait nodes
+// with "settled" flags, skipped when settled or dead, on its
+// own (time, seq) event queue — and must agree on who receives what, when,
+// how many events execute, and where the clock stops.
+
+struct ReaderOp {
+  Duration gap = 0;       // delay before this receive (0 still yields)
+  Duration timeout = -1;  // -1 = recv(), otherwise recv_for(timeout)
+};
+
+struct ControlOp {
+  enum Kind { kPush, kKill, kClose } kind = kPush;
+  Time at = 0;
+  int arg = 0;  // pushed value or reader index
+};
+
+struct ChannelScript {
+  std::vector<std::vector<ReaderOp>> readers;
+  std::vector<ControlOp> control;  // in execution order
+};
+
+ChannelScript make_channel_script(std::uint64_t seed) {
+  Rng rng(seed);
+  ChannelScript s;
+  const int n_readers = static_cast<int>(rng.uniform_int(1, 4));
+  for (int r = 0; r < n_readers; ++r) {
+    std::vector<ReaderOp> ops(static_cast<std::size_t>(rng.uniform_int(1, 8)));
+    for (ReaderOp& op : ops) {
+      op.gap = microseconds(rng.uniform_int(0, 3));
+      const auto roll = rng.uniform_int(0, 9);
+      if (roll < 5) {
+        op.timeout = -1;
+      } else if (roll < 6) {
+        op.timeout = 0;
+      } else {
+        op.timeout = microseconds(rng.uniform_int(1, 20));
+      }
+    }
+    s.readers.push_back(std::move(ops));
+  }
+  const int n_control = static_cast<int>(rng.uniform_int(5, 30));
+  for (int i = 0; i < n_control; ++i) {
+    ControlOp op;
+    op.at = microseconds(rng.uniform_int(0, 40));
+    const auto roll = rng.uniform_int(0, 19);
+    if (roll < 15) {
+      op.kind = ControlOp::kPush;
+      op.arg = i;
+    } else if (roll < 19) {
+      op.kind = ControlOp::kKill;
+      op.arg = static_cast<int>(rng.uniform_int(0, n_readers - 1));
+    } else {
+      op.kind = ControlOp::kClose;
+    }
+    s.control.push_back(op);
+  }
+  std::stable_sort(s.control.begin(), s.control.end(),
+                   [](const ControlOp& a, const ControlOp& b) { return a.at < b.at; });
+  // Pushing on a closed channel is a usage error: drop pushes after close.
+  bool closed = false;
+  std::erase_if(s.control, [&closed](const ControlOp& op) {
+    if (op.kind == ControlOp::kClose) {
+      if (closed) return true;
+      closed = true;
+      return false;
+    }
+    return closed && op.kind == ControlOp::kPush;
+  });
+  return s;
+}
+
+struct Delivery {
+  int reader = 0;
+  std::size_t op = 0;
+  int value = -1;  // -1 = nullopt (closed or timed out)
+  Time at = 0;
+  bool operator==(const Delivery&) const = default;
+};
+
+struct ChannelTrace {
+  std::vector<Delivery> deliveries;
+  Time end_time = 0;
+  std::uint64_t events = 0;
+  bool operator==(const ChannelTrace&) const = default;
+};
+
+Task<void> channel_reader(Engine& e, Channel<int>& ch,
+                          const std::vector<ReaderOp>& ops, int id,
+                          std::vector<Delivery>& out) {
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    co_await delay(ops[k].gap);
+    std::optional<int> v;
+    if (ops[k].timeout < 0) {
+      v = co_await ch.recv();
+    } else {
+      v = co_await ch.recv_for(ops[k].timeout);
+    }
+    out.push_back(Delivery{id, k, v.value_or(-1), e.now()});
+  }
+}
+
+ChannelTrace run_channel_script(const ChannelScript& s) {
+  ChannelTrace trace;
+  Engine e;
+  Channel<int> ch(e);
+  std::vector<ActorId> ids;
+  for (std::size_t r = 0; r < s.readers.size(); ++r) {
+    ids.push_back(e.spawn("reader", channel_reader(e, ch, s.readers[r],
+                                                   static_cast<int>(r),
+                                                   trace.deliveries)));
+  }
+  for (const ControlOp& op : s.control) {
+    e.call_at(op.at, [&e, &ch, &ids, op] {
+      switch (op.kind) {
+        case ControlOp::kPush: ch.push(op.arg); break;
+        case ControlOp::kKill: e.kill(ids[static_cast<std::size_t>(op.arg)]); break;
+        case ControlOp::kClose: ch.close(); break;
+      }
+    });
+  }
+  trace.end_time = e.run();
+  trace.events = e.events_executed();
+  return trace;
+}
+
+/// The deque-based reference channel, replayed on a private event queue.
+class RefChannelRun {
+ public:
+  explicit RefChannelRun(const ChannelScript& s)
+      : s_(s), readers_(s.readers.size()) {}
+
+  ChannelTrace run() {
+    for (std::size_t r = 0; r < readers_.size(); ++r) {
+      schedule(0, Ev{Ev::kResume, static_cast<int>(r)});
+    }
+    for (std::size_t i = 0; i < s_.control.size(); ++i) {
+      schedule(s_.control[i].at, Ev{Ev::kControl, static_cast<int>(i)});
+    }
+    while (!queue_.empty()) {
+      const auto [key, ev] = *queue_.begin();
+      queue_.erase(queue_.begin());
+      // A dead reader's resumption is dropped without touching the clock.
+      if (ev.kind == Ev::kResume &&
+          readers_[static_cast<std::size_t>(ev.index)].dead) {
+        continue;
+      }
+      now_ = key.first;
+      ++trace_.events;
+      switch (ev.kind) {
+        case Ev::kResume: resume(ev.index); break;
+        case Ev::kTimer: fire_timer(ev.index); break;
+        case Ev::kControl: control(s_.control[static_cast<std::size_t>(ev.index)]); break;
+      }
+    }
+    trace_.end_time = now_;
+    return trace_;
+  }
+
+ private:
+  using Key = std::pair<Time, std::uint64_t>;
+  struct Ev {
+    enum Kind { kResume, kTimer, kControl } kind;
+    int index;  // reader, park, or control op
+  };
+  struct Park {
+    int reader = 0;
+    bool settled = false;
+    int value = -1;
+    bool timer_pending = false;
+    Key timer{};
+  };
+  struct Reader {
+    std::size_t op = 0;
+    bool started = false;
+    bool dead = false;
+    int park = -1;  // current wait, if parked
+  };
+
+  Key schedule(Time t, Ev ev) {
+    const Key key{t, seq_++};
+    queue_.emplace(key, ev);
+    return key;
+  }
+
+  void next_op(int r, int value) {
+    Reader& rd = readers_[static_cast<std::size_t>(r)];
+    trace_.deliveries.push_back(Delivery{r, rd.op, value, now_});
+    ++rd.op;
+    start_op(r);
+  }
+
+  void start_op(int r) {
+    const Reader& rd = readers_[static_cast<std::size_t>(r)];
+    const auto& ops = s_.readers[static_cast<std::size_t>(r)];
+    if (rd.op < ops.size()) schedule(now_ + ops[rd.op].gap, Ev{Ev::kResume, r});
+  }
+
+  void resume(int r) {
+    Reader& rd = readers_[static_cast<std::size_t>(r)];
+    if (!rd.started) {
+      rd.started = true;
+      start_op(r);
+      return;
+    }
+    if (rd.park >= 0) {  // woken from a wait
+      Park& p = parks_[static_cast<std::size_t>(rd.park)];
+      if (p.timer_pending) queue_.erase(p.timer);  // cancelled: never runs
+      p.timer_pending = false;
+      rd.park = -1;
+      next_op(r, p.value);
+      return;
+    }
+    const ReaderOp& op = s_.readers[static_cast<std::size_t>(r)][rd.op];
+    if (!buffer_.empty()) {
+      const int v = buffer_.front();
+      buffer_.pop_front();
+      next_op(r, v);
+    } else if (closed_ || op.timeout == 0) {
+      next_op(r, -1);
+    } else {
+      rd.park = static_cast<int>(parks_.size());
+      Park p;
+      p.reader = r;
+      if (op.timeout > 0) {
+        p.timer_pending = true;
+        p.timer = schedule(now_ + op.timeout, Ev{Ev::kTimer, rd.park});
+      }
+      parks_.push_back(p);
+      waiters_.push_back(rd.park);
+    }
+  }
+
+  void fire_timer(int park) {
+    Park& p = parks_[static_cast<std::size_t>(park)];
+    p.timer_pending = false;
+    if (p.settled) return;
+    p.settled = true;  // value stays -1: timed out
+    if (!readers_[static_cast<std::size_t>(p.reader)].dead) {
+      schedule(now_, Ev{Ev::kResume, p.reader});
+    }
+  }
+
+  void control(const ControlOp& op) {
+    switch (op.kind) {
+      case ControlOp::kPush:
+        while (!waiters_.empty()) {
+          Park& p = parks_[static_cast<std::size_t>(waiters_.front())];
+          waiters_.pop_front();
+          if (p.settled || readers_[static_cast<std::size_t>(p.reader)].dead) continue;
+          p.settled = true;
+          p.value = op.arg;
+          schedule(now_, Ev{Ev::kResume, p.reader});
+          return;
+        }
+        buffer_.push_back(op.arg);
+        return;
+      case ControlOp::kKill:
+        readers_[static_cast<std::size_t>(op.arg)].dead = true;
+        return;
+      case ControlOp::kClose:
+        closed_ = true;
+        for (int park : waiters_) {
+          Park& p = parks_[static_cast<std::size_t>(park)];
+          if (p.settled) continue;
+          p.settled = true;
+          schedule(now_, Ev{Ev::kResume, p.reader});
+        }
+        waiters_.clear();
+        return;
+    }
+  }
+
+  const ChannelScript& s_;
+  std::vector<Reader> readers_;
+  std::vector<Park> parks_;
+  std::deque<int> buffer_;
+  std::deque<int> waiters_;  // parks, oldest first
+  bool closed_ = false;
+  std::map<Key, Ev> queue_;
+  std::uint64_t seq_ = 0;
+  Time now_ = 0;
+  ChannelTrace trace_;
+};
+
+class ChannelDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ChannelDifferentialTest, MatchesDequeReferenceModel) {
+  // Each parameter covers a block of scripts, so the suite replays a few
+  // hundred distinct interleavings.
+  for (std::uint64_t k = 0; k < 50; ++k) {
+    const ChannelScript s = make_channel_script(GetParam() * 1000 + k);
+    const ChannelTrace expected = RefChannelRun(s).run();
+    const ChannelTrace actual = run_channel_script(s);
+    ASSERT_EQ(actual.deliveries, expected.deliveries) << "script " << k;
+    ASSERT_EQ(actual.end_time, expected.end_time) << "script " << k;
+    ASSERT_EQ(actual.events, expected.events) << "script " << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChannelDifferentialTest,
+                         ::testing::Values(1u, 2u, 3u, 7u, 42u, 1234u));
+
 }  // namespace
 }  // namespace jets::sim
 
@@ -326,7 +639,9 @@ TEST_P(TableChurnTest, SlotMapMatchesMapUnderEnlistEvictReenlist) {
       const int* got = table.find(id);
       const auto it = ref.find(id);
       ASSERT_EQ(got != nullptr, it != ref.end());
-      if (got != nullptr) EXPECT_EQ(*got, it->second);
+      if (got != nullptr) {
+        EXPECT_EQ(*got, it->second);
+      }
     }
     ASSERT_EQ(table.size(), ref.size());
   }

@@ -172,9 +172,85 @@ TEST(Channel, PushSkipsKilledWaiters) {
     got = co_await ch.recv();
   }(ch, got));
   e.call_at(seconds(1), [&] { e.kill(victim); });
-  e.call_at(seconds(2), [&] { ch.push(5); });
+  e.call_at(seconds(2), [&] {
+    ch.push(5);  // reaches the survivor, not the dead node
+    ch.push(6);  // nobody left waiting: buffered, not lost to a ghost
+  });
   e.run();
   EXPECT_EQ(got, std::optional<int>(5));
+  EXPECT_EQ(ch.size(), 1u);
+}
+
+TEST(Channel, DestroyedWhileParkedThenWaiterKilledIsClean) {
+  Engine e;
+  auto ch = std::make_unique<Channel<int>>(e);
+  const ActorId reader = e.spawn("reader", [](Channel<int>& ch) -> Task<void> {
+    (void)co_await ch.recv();
+    ADD_FAILURE() << "woken by a destroyed channel";
+  }(*ch));
+  e.run();
+  ch.reset();      // the parked node is detached, not freed under it
+  e.kill(reader);  // the awaiter's destructor must not touch the channel
+  e.run();
+  EXPECT_FALSE(e.is_live(reader));
+}
+
+TEST(Channel, DestroyedWhileTimedWaitParkedStillTimesOut) {
+  Engine e;
+  auto ch = std::make_unique<Channel<int>>(e);
+  std::optional<int> got = 7;
+  Time at = -1;
+  e.spawn("reader", [](Engine& e, Channel<int>& ch, std::optional<int>& got,
+                       Time& at) -> Task<void> {
+    got = co_await ch.recv_for(seconds(5));
+    at = e.now();
+  }(e, *ch, got, at));
+  e.run_until(seconds(1));
+  ch.reset();
+  e.run();
+  EXPECT_EQ(got, std::nullopt);
+  EXPECT_EQ(at, seconds(5));
+}
+
+TEST(Channel, KilledTimedWaitersTimerStillFires) {
+  // The timer of a killed recv_for is not cancelled: it fires at its own
+  // (time, seq) as a no-op, so it counts as an executed event and the run
+  // ends at its deadline (a cancelled event would not move the clock).
+  Engine e;
+  Channel<int> ch(e);
+  const ActorId reader = e.spawn("reader", [](Channel<int>& ch) -> Task<void> {
+    (void)co_await ch.recv_for(seconds(5));
+    ADD_FAILURE() << "killed reader resumed";
+  }(ch));
+  e.call_at(seconds(1), [&] { e.kill(reader); });
+  e.run();
+  EXPECT_EQ(e.events_executed(), 3u);  // spawn, kill, no-op timer
+  EXPECT_EQ(e.now(), seconds(5));
+  EXPECT_EQ(e.cancelled_events(), 0u);
+}
+
+TEST(Channel, FifoAcrossBufferCompaction) {
+  Engine e;
+  Channel<int> ch(e);
+  for (int i = 0; i < 10; ++i) ch.push(i);
+  std::vector<int> got;
+  e.spawn("reader", [](Channel<int>& ch, std::vector<int>& got) -> Task<void> {
+    // Six receives take the consumed prefix past half of the buffer (the
+    // compaction point); the rest straddle it and later pushes.
+    for (int i = 0; i < 6; ++i) got.push_back(*co_await ch.recv());
+    co_await delay(seconds(1));
+    while (auto v = co_await ch.recv()) got.push_back(*v);
+  }(ch, got));
+  e.run_until(seconds(0));
+  EXPECT_EQ(ch.size(), 4u);
+  for (int i = 10; i < 15; ++i) ch.push(i);
+  EXPECT_EQ(ch.size(), 9u);
+  e.call_at(seconds(2), [&] { ch.close(); });
+  e.run();
+  std::vector<int> want(15);
+  for (int i = 0; i < 15; ++i) want[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(ch.empty());
 }
 
 TEST(Semaphore, LimitsConcurrency) {
@@ -222,6 +298,28 @@ TEST(Semaphore, KilledWaiterDoesNotConsumePermit) {
   e.run();
   EXPECT_TRUE(survivor_ran);
   EXPECT_EQ(sem.available(), 1u);
+}
+
+TEST(Semaphore, KilledWaiterUnlinksAndReleaseReachesNextLiveWaiter) {
+  Engine e;
+  Semaphore sem(e, 0);
+  std::vector<int> ran;
+  auto waiter = [](Semaphore& sem, std::vector<int>& ran, int i) -> Task<void> {
+    co_await sem.acquire();
+    ran.push_back(i);
+  };
+  const ActorId first = e.spawn("first", waiter(sem, ran, 1));
+  e.spawn("second", waiter(sem, ran, 2));
+  e.run();
+  EXPECT_EQ(sem.waiting(), 2u);
+  e.kill(first);
+  EXPECT_EQ(sem.waiting(), 1u);  // the dead node left the queue at once
+  sem.release();                 // handed to the survivor
+  sem.release();                 // nobody waits: back to the pool
+  e.run();
+  EXPECT_EQ(ran, (std::vector<int>{2}));
+  EXPECT_EQ(sem.available(), 1u);
+  EXPECT_EQ(sem.waiting(), 0u);
 }
 
 TEST(Semaphore, PermitGuardReleasesOnKill) {

@@ -3,6 +3,8 @@
 // Fig 17), and end-to-end execution through Coasters/JETS.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "apps/synthetic.hh"
 #include "swift/coasters.hh"
 #include "swift/engine.hh"
@@ -182,6 +184,27 @@ TEST(Script, DoubleSetRejected) {
 TEST(Script, UnterminatedStringRejected) {
   ScriptBed bed(2);
   EXPECT_THROW(bed.runner.run("file a;\napp (a) = noop(\"oops);"), ScriptError);
+}
+
+TEST(Script, OverlongIntLiteralIsScriptError) {
+  ScriptBed bed(2);
+  try {
+    bed.runner.run("file x;\napp (x) = noop(99999999999999999999);");
+    FAIL() << "expected ScriptError";
+  } catch (const ScriptError& e) {
+    EXPECT_EQ(e.line(), 2u);
+  }
+}
+
+TEST(Script, OverlongFloatLiteralIsScriptError) {
+  ScriptBed bed(2);
+  const std::string huge = "1" + std::string(400, '0') + ".5";
+  try {
+    bed.runner.run("file x;\napp (x) = noop(" + huge + ");");
+    FAIL() << "expected ScriptError";
+  } catch (const ScriptError& e) {
+    EXPECT_EQ(e.line(), 2u);
+  }
 }
 
 TEST(Script, CommentsAndWhitespaceIgnored) {
