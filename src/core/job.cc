@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "net/rpc.hh"
+
 namespace jets::core {
 
 namespace {
@@ -85,12 +87,12 @@ std::vector<JobSpec> parse_job_list(const std::string& text, int default_ppn) {
         throw std::invalid_argument("line " + std::to_string(lineno) +
                                     ": bad MPI options '" + toks[0] + "'");
       }
-      try {
-        spec.ppn = std::stoi(opts.substr(4));
-      } catch (const std::exception&) {
+      const auto ppn = net::rpc::parse_number<int>(opts.substr(4));
+      if (!ppn) {
         throw std::invalid_argument("line " + std::to_string(lineno) +
                                     ": bad ppn in '" + toks[0] + "'");
       }
+      spec.ppn = *ppn;
       if (spec.ppn < 1) {
         throw std::invalid_argument("line " + std::to_string(lineno) +
                                     ": ppn must be >= 1");
@@ -103,12 +105,12 @@ std::vector<JobSpec> parse_job_list(const std::string& text, int default_ppn) {
                                     ": MPI: needs a process count and command");
       }
       spec.kind = JobKind::kMpi;
-      try {
-        spec.nprocs = std::stoi(toks[1]);
-      } catch (const std::exception&) {
+      const auto nprocs = net::rpc::parse_number<int>(toks[1]);
+      if (!nprocs) {
         throw std::invalid_argument("line " + std::to_string(lineno) +
                                     ": bad MPI process count '" + toks[1] + "'");
       }
+      spec.nprocs = *nprocs;
       if (spec.nprocs < 1) {
         throw std::invalid_argument("line " + std::to_string(lineno) +
                                     ": MPI process count must be >= 1");

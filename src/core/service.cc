@@ -80,7 +80,6 @@ void Service::init_metrics() {
   rpc_metrics_.calls = reg("jets.rpc.calls");
   rpc_metrics_.notifies = reg("jets.rpc.notifies");
   rpc_metrics_.completed = reg("jets.rpc.completed");
-  rpc_metrics_.timeouts = reg("jets.rpc.timeouts");
   rpc_metrics_.peer_closed = reg("jets.rpc.peer_closed");
   rpc_metrics_.cancelled = reg("jets.rpc.cancelled");
   rpc_metrics_.orphans = reg("jets.rpc.orphans");
@@ -1168,6 +1167,7 @@ FailureReason Service::classify_mpi_failure(const Job& job,
     case pmi::MpiexecFailKind::kAborted:
       return FailureReason::kServiceAbort;
     case pmi::MpiexecFailKind::kExit:
+    case pmi::MpiexecFailKind::kProtocol:
     case pmi::MpiexecFailKind::kNone:
       break;
   }

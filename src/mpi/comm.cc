@@ -2,7 +2,11 @@
 
 #include <stdexcept>
 
+#include "net/rpc.hh"
+
 namespace jets::mpi {
+
+using net::rpc::parse_number;
 
 Comm::Comm(os::Env& env, int rank, int size)
     : env_(&env), machine_(env.machine), rank_(rank), size_(size) {}
@@ -39,10 +43,12 @@ sim::Task<void> Comm::accept_loop() {
     net::SocketPtr sock = co_await listener_->accept();
     if (!sock) co_return;
     auto hello = co_await sock->recv();
-    if (!hello || hello->tag != "mpi.hello") continue;
-    const int peer = std::stoi(hello->args.at(0));
-    in_[peer] = std::move(sock);
-    auto it = in_ready_.find(peer);
+    // A bad hello drops the connection: the dialer is no rank of ours.
+    if (!hello || hello->tag != "mpi.hello" || hello->args.size() != 1) continue;
+    const std::optional<int> peer = parse_number<int>(hello->args[0]);
+    if (!peer || *peer < 0 || *peer >= size_) continue;
+    in_[*peer] = std::move(sock);
+    auto it = in_ready_.find(*peer);
     if (it != in_ready_.end()) it->second->open();
   }
 }
@@ -52,9 +58,14 @@ sim::Task<net::Socket*> Comm::outbound(int dest) {
   if (it != out_.end()) co_return it->second.get();
   // Fetch the peer's card (blocking PMI get) and dial it.
   std::string card = co_await env_->pmi->get("card." + std::to_string(dest));
-  const auto space = card.find(' ');
-  net::Address addr{static_cast<os::NodeId>(std::stoul(card.substr(0, space))),
-                    static_cast<net::Port>(std::stoul(card.substr(space + 1)))};
+  const std::string_view text = card;  // "node port"
+  const auto space = text.find(' ');
+  const auto node = parse_number<os::NodeId>(text.substr(0, space));
+  const auto port = parse_number<net::Port>(text.substr(space + 1));
+  if (space == text.npos || !node || !port) {
+    throw std::runtime_error("MPI: bad card for rank " + std::to_string(dest));
+  }
+  const net::Address addr{*node, *port};
   net::SocketPtr sock = co_await machine_->network().connect(env_->node, addr);
   sock->send(net::Message("mpi.hello", {std::to_string(rank_)}));
   net::Socket* raw = sock.get();
@@ -90,12 +101,16 @@ sim::Task<RecvResult> Comm::recv(int src) {
   auto m = co_await it->second->recv();
   if (!m) throw std::runtime_error("MPI recv: connection to rank " +
                                    std::to_string(src) + " lost");
-  RecvResult r;
-  r.source = std::stoi(m->args.at(0));
-  r.tag = std::stoi(m->args.at(1));
-  if (m->args.size() > 2) r.value = std::stod(m->args.at(2));
-  r.bytes = m->payload_bytes;
-  co_return r;
+  // "mpi.msg" [source, tag] or [source, tag, value].
+  const std::vector<std::string>& a = m->args;
+  const auto source = a.size() >= 2 ? parse_number<int>(a[0]) : std::nullopt;
+  const auto tag = a.size() >= 2 ? parse_number<int>(a[1]) : std::nullopt;
+  const auto value = a.size() == 3 ? parse_number<double>(a[2]) : 0.0;
+  if (a.size() > 3 || !source || !tag || !value) {
+    throw std::runtime_error("MPI recv: malformed message from rank " +
+                             std::to_string(src));
+  }
+  co_return RecvResult{*source, *tag, m->payload_bytes, *value};
 }
 
 sim::Task<void> Comm::barrier() {

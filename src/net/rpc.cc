@@ -1,6 +1,6 @@
 #include "net/rpc.hh"
 
-#include <charconv>
+#include <algorithm>
 
 namespace jets::net::rpc {
 namespace {
@@ -34,26 +34,6 @@ std::string hex16(std::uint64_t v) {
   return out;
 }
 
-/// Full-consumption unsigned parse; rejects empty, signs, and trailing junk.
-std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  std::uint64_t v = 0;
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc() || ptr != last || s.empty()) return std::nullopt;
-  return v;
-}
-
-/// Full-consumption signed int parse (task exit statuses).
-std::optional<int> parse_int(std::string_view s) {
-  int v = 0;
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc() || ptr != last || s.empty()) return std::nullopt;
-  return v;
-}
-
 using Kind = DecodeError::Kind;
 
 template <typename M>
@@ -67,15 +47,48 @@ std::optional<DecodeError> check_tag(const Message& m) {
   return std::nullopt;
 }
 
+/// `head` followed by the "n, argv..., k=v..." tail TaskRun and ProxyExec
+/// share.
+std::vector<std::string> command_args(
+    std::initializer_list<std::string_view> head,
+    const std::vector<std::string>& argv,
+    const std::map<std::string, std::string>& vars) {
+  std::vector<std::string> args;
+  args.reserve(head.size() + 1 + argv.size() + vars.size());
+  for (const std::string_view h : head) args.emplace_back(h);
+  args.push_back(std::to_string(argv.size()));
+  for (const std::string& a : argv) args.push_back(a);
+  for (const auto& [k, v] : vars) args.push_back(k + "=" + v);
+  return args;
+}
+
+/// Decodes the command tail starting at args[at] (the argv count).
+std::optional<DecodeError> decode_command(
+    const std::vector<std::string>& args, std::size_t at,
+    std::vector<std::string>& argv, std::map<std::string, std::string>& vars) {
+  if (args.size() <= at) return DecodeError{Kind::kMissingArg, "argc"};
+  const auto n = parse_number<std::uint64_t>(args[at]);
+  if (!n) return DecodeError{Kind::kBadNumber, "argc"};
+  const std::size_t first = at + 1;
+  if (*n > args.size() - first) return DecodeError{Kind::kMissingArg, "argv"};
+  const std::size_t end = first + *n;
+  argv.assign(args.begin() + static_cast<std::ptrdiff_t>(first),
+              args.begin() + static_cast<std::ptrdiff_t>(end));
+  for (std::size_t i = end; i < args.size(); ++i) {
+    const std::string& kv = args[i];
+    const std::size_t eq = kv.find('=');
+    if (eq == std::string::npos) return DecodeError{Kind::kTrailingArgs, "vars"};
+    vars[kv.substr(0, eq)] = kv.substr(eq + 1);
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 const char* to_string(RpcError e) {
   switch (e) {
-    case RpcError::kTimeout: return "timeout";
     case RpcError::kPeerClosed: return "peer_closed";
     case RpcError::kCancelled: return "cancelled";
-    case RpcError::kWindowFull: return "window_full";
-    case RpcError::kDecode: return "decode";
   }
   return "unknown";
 }
@@ -107,7 +120,7 @@ Message RegisterReq::encode() const {
 Expected<RegisterReq, DecodeError> RegisterReq::decode(const Message& m) {
   if (auto e = check_tag<RegisterReq>(m)) return Unexpected{*e};
   if (m.args.empty()) return err<RegisterReq>(Kind::kMissingArg, "node");
-  const auto node = parse_u64(m.args[0]);
+  const auto node = parse_number<std::uint64_t>(m.args[0]);
   if (!node) return err<RegisterReq>(Kind::kBadNumber, "node");
   if (*node > 0xFFFFFFFFu) return err<RegisterReq>(Kind::kOversized, "node");
   RegisterReq r;
@@ -142,7 +155,7 @@ Expected<TaskDone, DecodeError> TaskDone::decode(const Message& m) {
   if (auto e = check_tag<TaskDone>(m)) return Unexpected{*e};
   if (m.args.size() < 3) return err<TaskDone>(Kind::kMissingArg, "reason");
   if (m.args.size() > 3) return err<TaskDone>(Kind::kTrailingArgs, "args");
-  const auto status = parse_int(m.args[1]);
+  const auto status = parse_number<int>(m.args[1]);
   if (!status) return err<TaskDone>(Kind::kBadNumber, "status");
   TaskDone d;
   d.task_id = m.args[0];
@@ -160,33 +173,15 @@ Expected<TaskDone, DecodeError> TaskDone::decode(const Message& m) {
 }
 
 Message TaskRun::encode() const {
-  std::vector<std::string> args;
-  args.reserve(2 + argv.size() + vars.size());
-  args.push_back(task_id);
-  args.push_back(std::to_string(argv.size()));
-  for (const std::string& a : argv) args.push_back(a);
-  for (const auto& [k, v] : vars) args.push_back(k + "=" + v);
-  return Message(kTag, std::move(args));
+  return Message(kTag, command_args({task_id}, argv, vars));
 }
 
 Expected<TaskRun, DecodeError> TaskRun::decode(const Message& m) {
   if (auto e = check_tag<TaskRun>(m)) return Unexpected{*e};
-  if (m.args.size() < 2) return err<TaskRun>(Kind::kMissingArg, "argc");
-  const auto n = parse_u64(m.args[1]);
-  if (!n) return err<TaskRun>(Kind::kBadNumber, "argc");
-  if (*n > m.args.size() - 2) return err<TaskRun>(Kind::kMissingArg, "argv");
+  if (m.args.empty()) return err<TaskRun>(Kind::kMissingArg, "argc");
   TaskRun r;
   r.task_id = m.args[0];
-  r.argv.assign(m.args.begin() + 2,
-                m.args.begin() + 2 + static_cast<std::ptrdiff_t>(*n));
-  for (std::size_t i = 2 + *n; i < m.args.size(); ++i) {
-    const std::string& kv = m.args[i];
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos) {
-      return err<TaskRun>(Kind::kTrailingArgs, "vars");
-    }
-    r.vars[kv.substr(0, eq)] = kv.substr(eq + 1);
-  }
+  if (auto e = decode_command(m.args, 1, r.argv, r.vars)) return Unexpected{*e};
   return r;
 }
 
@@ -260,7 +255,7 @@ Expected<PmiInit, DecodeError> PmiInit::decode(const Message& m) {
   if (auto e = check_tag<PmiInit>(m)) return Unexpected{*e};
   if (m.args.empty()) return err<PmiInit>(Kind::kMissingArg, "rank");
   if (m.args.size() > 1) return err<PmiInit>(Kind::kTrailingArgs, "args");
-  const auto rank = parse_int(m.args[0]);
+  const auto rank = parse_number<int>(m.args[0]);
   if (!rank) return err<PmiInit>(Kind::kBadNumber, "rank");
   return PmiInit{*rank};
 }
@@ -296,7 +291,7 @@ Expected<PmiBarrier, DecodeError> PmiBarrier::decode(const Message& m) {
   if (auto e = check_tag<PmiBarrier>(m)) return Unexpected{*e};
   if (m.args.empty()) return err<PmiBarrier>(Kind::kMissingArg, "rank");
   if (m.args.size() > 1) return err<PmiBarrier>(Kind::kTrailingArgs, "args");
-  const auto rank = parse_int(m.args[0]);
+  const auto rank = parse_number<int>(m.args[0]);
   if (!rank) return err<PmiBarrier>(Kind::kBadNumber, "rank");
   return PmiBarrier{*rank};
 }
@@ -305,9 +300,60 @@ Expected<PmiFinalize, DecodeError> PmiFinalize::decode(const Message& m) {
   if (auto e = check_tag<PmiFinalize>(m)) return Unexpected{*e};
   if (m.args.empty()) return err<PmiFinalize>(Kind::kMissingArg, "rank");
   if (m.args.size() > 1) return err<PmiFinalize>(Kind::kTrailingArgs, "args");
-  const auto rank = parse_int(m.args[0]);
+  const auto rank = parse_number<int>(m.args[0]);
   if (!rank) return err<PmiFinalize>(Kind::kBadNumber, "rank");
   return PmiFinalize{*rank};
+}
+
+Expected<ProxyHello, DecodeError> ProxyHello::decode(const Message& m) {
+  if (auto e = check_tag<ProxyHello>(m)) return Unexpected{*e};
+  if (m.args.empty()) return err<ProxyHello>(Kind::kMissingArg, "proxy_id");
+  if (m.args.size() > 1) return err<ProxyHello>(Kind::kTrailingArgs, "args");
+  const auto id = parse_number<int>(m.args[0]);
+  if (!id) return err<ProxyHello>(Kind::kBadNumber, "proxy_id");
+  return ProxyHello{*id};
+}
+
+Message ProxyExec::encode() const {
+  return Message(kTag, command_args({std::to_string(nprocs), std::to_string(ppn),
+                                     std::to_string(base), binary},
+                                    argv, vars));
+}
+
+Expected<ProxyExec, DecodeError> ProxyExec::decode(const Message& m) {
+  if (auto e = check_tag<ProxyExec>(m)) return Unexpected{*e};
+  if (m.args.size() < 4) return err<ProxyExec>(Kind::kMissingArg, "binary");
+  const auto nprocs = parse_number<int>(m.args[0]);
+  if (!nprocs) return err<ProxyExec>(Kind::kBadNumber, "nprocs");
+  const auto ppn = parse_number<int>(m.args[1]);
+  if (!ppn) return err<ProxyExec>(Kind::kBadNumber, "ppn");
+  const auto base = parse_number<int>(m.args[2]);
+  if (!base) return err<ProxyExec>(Kind::kBadNumber, "base");
+  ProxyExec x;
+  x.nprocs = *nprocs;
+  x.ppn = *ppn;
+  x.base = *base;
+  x.binary = m.args[3];
+  if (auto e = decode_command(m.args, 4, x.argv, x.vars)) return Unexpected{*e};
+  if (x.argv.empty()) return err<ProxyExec>(Kind::kMissingArg, "argv");
+  return x;
+}
+
+Expected<ProxyExit, DecodeError> ProxyExit::decode(const Message& m) {
+  if (auto e = check_tag<ProxyExit>(m)) return Unexpected{*e};
+  if (m.args.size() < 2) return err<ProxyExit>(Kind::kMissingArg, "code");
+  if (m.args.size() > 2) return err<ProxyExit>(Kind::kTrailingArgs, "args");
+  const auto id = parse_number<int>(m.args[0]);
+  if (!id) return err<ProxyExit>(Kind::kBadNumber, "proxy_id");
+  const auto code = parse_number<int>(m.args[1]);
+  if (!code) return err<ProxyExit>(Kind::kBadNumber, "code");
+  return ProxyExit{*id, *code};
+}
+
+Expected<StdoutNote, DecodeError> StdoutNote::decode(const Message& m) {
+  if (auto e = check_tag<StdoutNote>(m)) return Unexpected{*e};
+  if (!m.args.empty()) return err<StdoutNote>(Kind::kTrailingArgs, "args");
+  return StdoutNote{m.payload_bytes};
 }
 
 // --- Metrics --------------------------------------------------------------
@@ -317,7 +363,6 @@ ChannelMetrics ChannelMetrics::bind(obs::MetricsRegistry& m) {
   out.calls = &m.counter("jets.rpc.calls");
   out.notifies = &m.counter("jets.rpc.notifies");
   out.completed = &m.counter("jets.rpc.completed");
-  out.timeouts = &m.counter("jets.rpc.timeouts");
   out.peer_closed = &m.counter("jets.rpc.peer_closed");
   out.cancelled = &m.counter("jets.rpc.cancelled");
   out.orphans = &m.counter("jets.rpc.orphans");
@@ -328,21 +373,6 @@ ChannelMetrics ChannelMetrics::bind(obs::MetricsRegistry& m) {
 }
 
 // --- Channel --------------------------------------------------------------
-
-Channel::Channel(sim::Engine& engine, SocketPtr sock, Config config)
-    : engine_(&engine), sock_(std::move(sock)), config_(config) {
-  if (config_.window > 0) {
-    window_ = std::make_unique<sim::Semaphore>(engine, config_.window);
-  }
-}
-
-Channel::~Channel() {
-  // Never invoke completions here: the channel dies during its owner's
-  // teardown (actor kill, service destruction) when the frames those
-  // callbacks capture may already be gone. Deadline timers must not
-  // outlive us, though.
-  for (auto& [id, p] : calls_) p.deadline.cancel();
-}
 
 std::string Channel::index_key(std::string_view tag, std::string_view key) {
   std::string k;
@@ -395,37 +425,19 @@ void Channel::finish_call(CallId id, void* resp, RpcError err) {
   PendingCall p = std::move(it->second);
   calls_.erase(it);
   unlink_index(p);
-  p.deadline.cancel();
-  if (p.credited && window_) window_->release();
   if (ChannelMetrics* mm = config_.metrics) {
     --mm->inflight_now;
     if (mm->inflight) mm->inflight->set(mm->inflight_now);
     if (resp) {
       if (mm->completed) mm->completed->inc();
-    } else {
-      switch (err) {
-        case RpcError::kTimeout:
-          if (mm->timeouts) mm->timeouts->inc();
-          break;
-        case RpcError::kPeerClosed:
-          if (mm->peer_closed) mm->peer_closed->inc();
-          break;
-        case RpcError::kCancelled:
-          if (mm->cancelled) mm->cancelled->inc();
-          break;
-        default:
-          break;
-      }
+    } else if (err == RpcError::kPeerClosed) {
+      if (mm->peer_closed) mm->peer_closed->inc();
+    } else if (mm->cancelled) {
+      mm->cancelled->inc();
     }
-  }
-  if (config_.tracer && p.span != 0) {
-    if (!resp) config_.tracer->attr(p.span, "err", to_string(err));
-    config_.tracer->end(p.span);
   }
   p.complete(resp, err);
 }
-
-void Channel::on_deadline(CallId id) { finish_call(id, nullptr, RpcError::kTimeout); }
 
 void Channel::fail_all(RpcError err) {
   while (!calls_.empty()) {
@@ -439,12 +451,6 @@ void Channel::fail_responses(std::string_view resp_tag, RpcError err) {
     if (resp_tag == p.resp_tag) ids.push_back(id);
   }
   for (const CallId id : ids) finish_call(id, nullptr, err);
-}
-
-bool Channel::cancel(CallId id, RpcError err) {
-  if (calls_.find(id) == calls_.end()) return false;
-  finish_call(id, nullptr, err);
-  return true;
 }
 
 void Channel::note_orphan() {
@@ -465,6 +471,19 @@ void Channel::note_unknown_tag() {
   }
 }
 
+std::optional<sim::Task<void>> Channel::dispatch(Message&& m) {
+  if (on_message_) on_message_();
+  TagEntry* e = find_tag(m.tag);
+  if (!e) {
+    note_unknown_tag();
+  } else if (e->sync) {
+    e->sync(*this, std::move(m));
+  } else {
+    return e->async(*this, std::move(m));
+  }
+  return std::nullopt;
+}
+
 sim::Task<void> Channel::serve() {
   serving_ = true;
   for (;;) {
@@ -480,58 +499,26 @@ sim::Task<void> Channel::serve() {
       break;
     }
     if (stopped_) break;
-    if (on_message_) on_message_();
-    TagEntry* e = find_tag(m->tag);
-    if (!e) {
-      note_unknown_tag();
-    } else if (e->sync) {
-      e->sync(*this, std::move(*m));
-    } else if (auto t = e->async(*this, std::move(*m))) {
-      co_await std::move(*t);
-    }
+    if (auto t = dispatch(std::move(*m))) co_await std::move(*t);
     if (stopped_) break;
   }
   serving_ = false;
   if (!config_.manual_drain) fail_all(RpcError::kPeerClosed);
 }
 
-sim::Task<void> Channel::pump_until(WaitCore* st, CallId id,
-                                    sim::Duration deadline) {
+sim::Task<void> Channel::pump_until(WaitCore* st) {
   // Self-driven mode: no serve() loop owns the socket, so the caller's
   // coroutine performs the recv/dispatch itself — the exact event shape of
   // the hand-written send-then-recv-loop clients (PMI). One sequential
   // caller per channel.
-  const sim::Time deadline_at = deadline > 0 ? engine_->now() + deadline : -1;
   while (!st->done) {
-    std::optional<Message> m;
-    if (deadline_at >= 0) {
-      const sim::Duration left = deadline_at - engine_->now();
-      if (left <= 0) {
-        cancel(id, RpcError::kTimeout);
-        break;
-      }
-      m = co_await sock_->recv_for(left);
-    } else {
-      m = co_await sock_->recv();
-    }
-    if (st->done) break;  // the deadline timer settled it while we slept
+    std::optional<Message> m = co_await sock_->recv();
     if (!m) {
-      if (sock_->eof()) {
-        peer_closed_ = true;
-        fail_all(RpcError::kPeerClosed);
-      }
-      // recv_for timeout: loop; the deadline branch above resolves it.
-      continue;
+      peer_closed_ = true;
+      fail_all(RpcError::kPeerClosed);
+      break;
     }
-    if (on_message_) on_message_();
-    TagEntry* e = find_tag(m->tag);
-    if (!e) {
-      note_unknown_tag();
-    } else if (e->sync) {
-      e->sync(*this, std::move(*m));
-    } else if (auto t = e->async(*this, std::move(*m))) {
-      co_await std::move(*t);
-    }
+    if (auto t = dispatch(std::move(*m))) co_await std::move(*t);
   }
 }
 

@@ -1,24 +1,25 @@
-// Typed asynchronous request/response RPC over net::Socket.
+// Typed request/response RPC over net::Socket.
 //
-// The JETS wire protocol is a stream of small tagged net::Message frames;
-// until now every endpoint hand-rolled its own tag dispatch, stoul-based
-// field parsing, and ad-hoc "the peer died, forget the reply" bookkeeping.
-// rpc::Channel packages that discipline once:
+// Every JETS control protocol is a stream of small tagged net::Message
+// frames. This module is the one place that knows their bytes:
 //
-//  * every protocol verb is a typed struct with byte-exact encode() to the
-//    existing wire form and a total decode() that returns a typed
+//  * every protocol verb — the worker protocol, the staging acks, PMI and
+//    Hydra's proxy control — is a typed struct with a byte-exact encode()
+//    to the historical wire form and a total decode() that returns a typed
 //    DecodeError instead of throwing or crashing on malformed frames;
-//  * call<Req>() / call_cb<Req>() issue a request and match the reply by
-//    *correlation key* — the protocol's own identifying field (task id,
-//    staged path, PMI key) — so the wire format does not change by a byte
-//    and all 15 figure benches stay identical to the golden manifest;
+//  * Channel::call<Req>() / call_cb<Req>() issue a request and match the
+//    reply by *correlation key* — the protocol's own identifying field
+//    (task id, staged path, PMI key) — so the wire format does not change
+//    by a byte and all 15 figure benches stay identical to the golden
+//    manifest;
 //  * concurrent calls with the same (response tag, key) resolve FIFO, in
 //    issue order, which is exactly the socket's FIFO delivery order;
-//  * an optional bounded in-flight window provides backpressure: call()
-//    co_awaits a credit, call_cb() fails fast with kWindowFull;
-//  * per-call deadlines surface RpcError::kTimeout through the engine's
-//    timer wheel; peer close drains every pending call with kPeerClosed
-//    (in issue order) instead of silently dropping them.
+//  * peer close drains every pending call with kPeerClosed (in issue
+//    order) instead of silently dropping them.
+//
+// A Channel drops a malformed frame after counting it. A reader that must
+// fail a job on one instead (mpiexec's control service) calls the typed
+// decoders itself.
 //
 // Determinism: constructing a Channel, issuing a call, and completing one
 // schedule *zero* engine events beyond what the raw socket send/recv
@@ -29,7 +30,7 @@
 // preserved exactly — scheduler_equiv.sh is the proof.
 #pragma once
 
-#include <algorithm>
+#include <charconv>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -48,7 +49,6 @@
 #include "net/socket.hh"
 #include "net/staging.hh"
 #include "obs/metrics.hh"
-#include "obs/tracer.hh"
 #include "sim/engine.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
@@ -102,11 +102,8 @@ class Expected<void, E> {
 // --- Error taxonomy -------------------------------------------------------
 
 enum class RpcError : std::uint8_t {
-  kTimeout,     // per-call deadline elapsed before the reply arrived
   kPeerClosed,  // connection gone (EOF) or already closed at issue time
   kCancelled,   // explicitly cancelled (eviction write-off, shutdown)
-  kWindowFull,  // call_cb with no free pipeline credit
-  kDecode,      // reply arrived but failed to decode (reserved)
 };
 const char* to_string(RpcError e);
 
@@ -125,6 +122,18 @@ struct DecodeError {
   const char* field = "";
 };
 std::string to_string(const DecodeError& e);
+
+/// Full-consumption numeric parse, the one every frame reader uses:
+/// rejects empty text, leading blanks or '+', trailing junk and values
+/// outside T (a '-' for unsigned T).
+template <typename T>
+std::optional<T> parse_number(std::string_view s) {
+  T v{};
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, v);
+  if (ec != std::errc() || ptr != last) return std::nullopt;
+  return v;
+}
 
 // --- Typed protocol -------------------------------------------------------
 // One struct per wire verb. encode() must reproduce today's frames
@@ -320,6 +329,75 @@ struct PmiFinalize {
   static Expected<PmiFinalize, DecodeError> decode(const Message& m);
 };
 
+// --- Hydra proxy control (mpiexec <-> hydra_pmi_proxy) ------------------
+
+/// "proxy.hello" [proxy_id] — a proxy dialed back to mpiexec.
+struct ProxyHello {
+  static constexpr const char* kTag = "proxy.hello";
+  int proxy_id = 0;
+  ProxyHello() = default;
+  explicit ProxyHello(int id) : proxy_id(id) {}
+  Message encode() const { return Message(kTag, {std::to_string(proxy_id)}); }
+  static Expected<ProxyHello, DecodeError> decode(const Message& m);
+};
+
+/// "proxy.exec" [nprocs, ppn, base, binary, n, argv..., k=v...] — mpiexec's
+/// answer to ProxyHello: the ranks base .. base+ppn-1 (capped at nprocs)
+/// the proxy must fork, and what they run.
+struct ProxyExec {
+  static constexpr const char* kTag = "proxy.exec";
+  int nprocs = 0;
+  int ppn = 0;
+  int base = 0;
+  std::string binary;  // charged at rank start
+  std::vector<std::string> argv;
+  std::map<std::string, std::string> vars;  // sorted => stable encode
+  ProxyExec() = default;
+  ProxyExec(int np, int per, int b, std::string bin,
+            std::vector<std::string> av,
+            std::map<std::string, std::string> kv = {})
+      : nprocs(np), ppn(per), base(b), binary(std::move(bin)),
+        argv(std::move(av)), vars(std::move(kv)) {}
+  Message encode() const;
+  static Expected<ProxyExec, DecodeError> decode(const Message& m);
+};
+
+/// "proxy.exit" [proxy_id, code] — the proxy's ranks have all exited;
+/// code is nonzero if any of them failed.
+struct ProxyExit {
+  static constexpr const char* kTag = "proxy.exit";
+  int proxy_id = 0;
+  int code = 0;
+  ProxyExit() = default;
+  ProxyExit(int id, int c) : proxy_id(id), code(c) {}
+  Message encode() const {
+    return Message(kTag, {std::to_string(proxy_id), std::to_string(code)});
+  }
+  static Expected<ProxyExit, DecodeError> decode(const Message& m);
+};
+
+/// "stdout" + payload — application output routed rank -> mpiexec
+/// (§6.1.6). The bytes are the payload; the frame has no args.
+struct StdoutNote {
+  static constexpr const char* kTag = "stdout";
+  std::uint64_t bytes = 0;
+  StdoutNote() = default;
+  explicit StdoutNote(std::uint64_t b) : bytes(b) {}
+  Message encode() const { return Message(kTag, {}, bytes); }
+  static Expected<StdoutNote, DecodeError> decode(const Message& m);
+};
+
+/// `m` as an M; nullopt if it carries another verb, or if it is a
+/// malformed M (then `why` says how). For readers that dispatch by hand.
+template <typename M>
+std::optional<M> decode_as(const Message& m, std::string& why) {
+  if (m.tag != M::kTag) return std::nullopt;
+  auto r = M::decode(m);
+  if (r) return std::move(r).value();
+  why = to_string(r.error());
+  return std::nullopt;
+}
+
 /// Fire-and-forget typed send on a bare socket (no channel bookkeeping).
 template <typename M>
 void post(Socket& sock, const M& m) {
@@ -335,7 +413,6 @@ struct ChannelMetrics {
   obs::Counter* calls = nullptr;          // requests issued
   obs::Counter* notifies = nullptr;       // one-way sends
   obs::Counter* completed = nullptr;      // calls resolved by a reply
-  obs::Counter* timeouts = nullptr;       // calls resolved by deadline
   obs::Counter* peer_closed = nullptr;    // calls drained or refused, EOF
   obs::Counter* cancelled = nullptr;      // calls explicitly written off
   obs::Counter* orphans = nullptr;        // replies with no matching call
@@ -355,9 +432,6 @@ class Channel {
   using CallId = std::uint64_t;
 
   struct Config {
-    /// Max calls in flight; 0 = unbounded. call() co_awaits a free
-    /// credit (FIFO), call_cb() fails fast with kWindowFull.
-    std::size_t window = 0;
     /// Shared instrument block; nullptr = uncounted.
     ChannelMetrics* metrics = nullptr;
     /// When true, serve() does NOT drain pending calls at EOF — the owner
@@ -366,74 +440,85 @@ class Channel {
     /// this to keep its EOF bookkeeping order (and thus the event
     /// schedule) exactly as before.
     bool manual_drain = false;
-    /// Span per call ("rpc.call", attrs: method, err); nullptr = none.
-    obs::Tracer* tracer = nullptr;
-    std::uint64_t track = 0;
   };
 
   Channel(sim::Engine& engine, SocketPtr sock) : Channel(engine, std::move(sock), Config{}) {}
-  Channel(sim::Engine& engine, SocketPtr sock, Config config);
-  ~Channel();  // cancels deadline timers; never invokes completions
+  Channel(sim::Engine& engine, SocketPtr sock, Config config)
+      : engine_(&engine), sock_(std::move(sock)), config_(config) {}
+  // Destruction never invokes completions: the channel dies during its
+  // owner's teardown, when the frames those callbacks capture may be gone.
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  const SocketPtr& socket() const { return sock_; }
   /// True once this channel has observed EOF from the peer. Deliberately
   /// NOT sock->eof(): the socket can hit EOF before the channel's recv
   /// resumption runs, and surfacing that early would fail calls at a
   /// different simulated instant than the historical code.
   bool peer_closed() const { return peer_closed_; }
   std::size_t in_flight() const { return calls_.size(); }
-  /// Free pipeline credits (meaningful only with a bounded window).
-  std::size_t window_available() const {
-    return window_ ? window_->available() : 0;
-  }
   /// True if some pending call awaits (resp_tag, key).
   bool has_pending(std::string_view resp_tag, std::string_view key) const;
 
   /// Issues `req` and invokes `cb(Expected<Resp, RpcError>)` exactly once:
-  /// inline at reply dispatch, at deadline expiry, or when the channel
-  /// drains. Returns the call id, or kPeerClosed / kWindowFull without
-  /// sending. deadline == 0 means no deadline.
+  /// inline at reply dispatch, or when the channel drains. Returns the
+  /// call id, or kPeerClosed without sending.
   template <typename M, typename F>
-  Expected<CallId, RpcError> call_cb(const M& req, F&& cb,
-                                     sim::Duration deadline = 0) {
-    return call_cb_impl<M>(req, std::forward<F>(cb), deadline,
-                           /*pre_credited=*/false);
+  Expected<CallId, RpcError> call_cb(const M& req, F&& cb) {
+    using Resp = typename M::Resp;
+    if (peer_closed_ || stopped_ || !sock_) {
+      if (config_.metrics && config_.metrics->peer_closed) {
+        config_.metrics->peer_closed->inc();
+      }
+      return Unexpected{RpcError::kPeerClosed};
+    }
+    ensure_route<Resp>();
+    const CallId id = next_id_++;
+    PendingCall p;
+    p.id = id;
+    p.resp_tag = Resp::kTag;
+    p.key = req.correlation_key();
+    p.complete = [cb = std::function<void(Expected<Resp, RpcError>)>(
+                      std::forward<F>(cb))](void* resp, RpcError err) {
+      if (resp) {
+        cb(Expected<Resp, RpcError>(std::move(*static_cast<Resp*>(resp))));
+      } else {
+        cb(Expected<Resp, RpcError>(Unexpected{err}));
+      }
+    };
+    index_[index_key(p.resp_tag, p.key)].push_back(id);
+    calls_.emplace(id, std::move(p));
+    if (ChannelMetrics* mm = config_.metrics) {
+      if (mm->calls) mm->calls->inc();
+      ++mm->inflight_now;
+      if (mm->inflight) mm->inflight->set(mm->inflight_now);
+    }
+    sock_->send(req.encode());
+    return id;
   }
 
-  /// Coroutine form: awaits a window credit, issues the call, and resumes
-  /// with the typed result. If no serve() loop is running the call pumps
-  /// the socket itself (one sequential caller per channel — the PMI
-  /// client's discipline); with serve() active it just parks.
+  /// Coroutine form: issues the call and resumes with the typed result.
+  /// If no serve() loop is running the call pumps the socket itself (one
+  /// sequential caller per channel — the PMI client's discipline); with
+  /// serve() active it just parks.
   ///
   /// `req` is taken by value, and every M is a non-aggregate by design —
   /// see the GCC 12 note on the typed-protocol section above.
   template <typename M>
-  sim::Task<Expected<typename M::Resp, RpcError>> call(
-      M req, sim::Duration deadline = 0) {
+  sim::Task<Expected<typename M::Resp, RpcError>> call(M req) {
     using Resp = typename M::Resp;
-    if (window_) co_await window_->acquire();
     auto st = std::make_shared<Wait<Resp>>();
     st->engine = engine_;
-    auto issued = call_cb_impl<M>(
-        req,
-        [st](Expected<Resp, RpcError> r) {
-          st->result.emplace(std::move(r));
-          st->done = true;
-          st->wake();
-        },
-        deadline, /*pre_credited=*/true);
-    if (!issued.ok()) {
-      if (window_) window_->release();
-      co_return Unexpected{issued.error()};
-    }
+    auto issued = call_cb(req, [st](Expected<Resp, RpcError> r) {
+      st->result.emplace(std::move(r));
+      st->done = true;
+      st->wake();
+    });
+    if (!issued.ok()) co_return Unexpected{issued.error()};
     if (serving_) {
       co_await WaitAwaiter{st.get()};
     } else {
-      co_await pump_until(st.get(), issued.value(), deadline);
+      co_await pump_until(st.get());
     }
-    if (!st->done) cancel(issued.value(), RpcError::kCancelled);
     co_return std::move(*st->result);
   }
 
@@ -487,8 +572,6 @@ class Channel {
   void fail_all(RpcError err);
   /// Fails every pending call awaiting `resp_tag`, oldest first.
   void fail_responses(std::string_view resp_tag, RpcError err);
-  /// Fails one call; returns false if it already settled.
-  bool cancel(CallId id, RpcError err = RpcError::kCancelled);
 
  private:
   struct PendingCall {
@@ -496,9 +579,6 @@ class Channel {
     const char* resp_tag = "";
     std::string key;
     std::function<void(void*, RpcError)> complete;
-    sim::TimerHandle deadline;
-    bool credited = false;
-    obs::SpanId span = 0;
   };
 
   struct TagEntry {
@@ -531,53 +611,6 @@ class Channel {
     }
     void await_resume() const noexcept {}
   };
-
-  template <typename M, typename F>
-  Expected<CallId, RpcError> call_cb_impl(const M& req, F&& cb,
-                                          sim::Duration deadline,
-                                          bool pre_credited) {
-    using Resp = typename M::Resp;
-    if (peer_closed_ || stopped_ || !sock_) {
-      if (config_.metrics && config_.metrics->peer_closed) {
-        config_.metrics->peer_closed->inc();
-      }
-      return Unexpected{RpcError::kPeerClosed};
-    }
-    if (window_ && !pre_credited && !window_->try_acquire()) {
-      return Unexpected{RpcError::kWindowFull};
-    }
-    ensure_route<Resp>();
-    const CallId id = next_id_++;
-    PendingCall p;
-    p.id = id;
-    p.resp_tag = Resp::kTag;
-    p.key = req.correlation_key();
-    p.credited = window_ != nullptr;
-    p.complete = [cb = std::function<void(Expected<Resp, RpcError>)>(
-                      std::forward<F>(cb))](void* resp, RpcError err) {
-      if (resp) {
-        cb(Expected<Resp, RpcError>(std::move(*static_cast<Resp*>(resp))));
-      } else {
-        cb(Expected<Resp, RpcError>(Unexpected{err}));
-      }
-    };
-    if (deadline > 0) {
-      p.deadline = engine_->call_in(deadline, [this, id] { on_deadline(id); });
-    }
-    if (config_.tracer) {
-      p.span = config_.tracer->begin("rpc.call", config_.track);
-      config_.tracer->attr(p.span, "method", M::kTag);
-    }
-    index_[index_key(p.resp_tag, p.key)].push_back(id);
-    calls_.emplace(id, std::move(p));
-    if (ChannelMetrics* mm = config_.metrics) {
-      if (mm->calls) mm->calls->inc();
-      ++mm->inflight_now;
-      if (mm->inflight) mm->inflight->set(mm->inflight_now);
-    }
-    sock_->send(req.encode());
-    return id;
-  }
 
   template <typename M>
   void install_sync(std::function<void(M&&)> h) {
@@ -636,8 +669,10 @@ class Channel {
   bool try_complete(const char* resp_tag, const std::string& key, void* resp);
   void finish_call(CallId id, void* resp, RpcError err);
   void unlink_index(const PendingCall& p);
-  void on_deadline(CallId id);
-  sim::Task<void> pump_until(WaitCore* st, CallId id, sim::Duration deadline);
+  /// Routes one inbound frame; returns the async handler's task, if any,
+  /// for the receive loop to co_await.
+  std::optional<sim::Task<void>> dispatch(Message&& m);
+  sim::Task<void> pump_until(WaitCore* st);
   void note_orphan();
   void note_decode_error();
   void note_unknown_tag();
@@ -645,7 +680,6 @@ class Channel {
   sim::Engine* engine_;
   SocketPtr sock_;
   Config config_;
-  std::unique_ptr<sim::Semaphore> window_;
   /// Ordered by id == issue order, so fail_all drains FIFO.
   std::map<CallId, PendingCall> calls_;
   /// (resp_tag NUL key) -> pending ids, FIFO per key.

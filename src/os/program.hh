@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "net/rpc.hh"
 #include "net/socket.hh"
 #include "os/machine.hh"
 #include "sim/task.hh"
@@ -52,7 +53,7 @@ struct Env {
 
   /// Emits `bytes` of stdout (counts wire time on the sink if present).
   void write_stdout(std::size_t bytes) const {
-    if (stdout_sink) stdout_sink->send(net::Message("stdout", {}, bytes));
+    if (stdout_sink) net::rpc::post(*stdout_sink, net::rpc::StdoutNote{bytes});
   }
 };
 

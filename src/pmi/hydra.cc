@@ -3,28 +3,27 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "net/rpc.hh"
 #include "obs/tracer.hh"
 #include "pmi/client.hh"
 
 namespace jets::pmi {
 
+namespace rpc = net::rpc;
+
 namespace {
 
-/// Shared between a proxy and its local rank bodies.
-struct ProxyShared {
-  int exit_code = 0;
-};
-
+/// Rank `rank` of `exec`; `exit_code` is shared by a proxy and its ranks.
 sim::Task<void> rank_body(os::Machine* machine, const os::AppRegistry* apps,
-                          os::NodeId node, std::vector<std::string> argv,
-                          std::map<std::string, std::string> vars,
-                          net::Address control, int rank, int size,
-                          std::shared_ptr<ProxyShared> shared) {
+                          os::NodeId node, rpc::ProxyExec exec,
+                          net::Address control, int rank,
+                          std::shared_ptr<int> exit_code) {
+  const int size = exec.nprocs;
   os::Env env;
   env.machine = machine;
   env.node = node;
-  env.argv = std::move(argv);
-  env.vars = std::move(vars);
+  env.argv = std::move(exec.argv);
+  env.vars = std::move(exec.vars);
   env.vars["PMI_RANK"] = std::to_string(rank);
   env.vars["PMI_SIZE"] = std::to_string(size);
   try {
@@ -35,7 +34,7 @@ sim::Task<void> rank_body(os::Machine* machine, const os::AppRegistry* apps,
     co_await program(env);
     client->finalize();
   } catch (...) {
-    shared->exit_code = 1;
+    *exit_code = 1;
   }
 }
 
@@ -46,57 +45,42 @@ sim::Task<void> rank_body(os::Machine* machine, const os::AppRegistry* apps,
 os::Program Mpiexec::proxy_program(const os::AppRegistry& apps) {
   return [&apps](os::Env& env) -> sim::Task<void> {
     // argv: hydra_pmi_proxy --control-addr <node> <port> --proxy-id <k>
-    net::Address control{};
-    int proxy_id = -1;
-    for (std::size_t i = 1; i + 1 < env.argv.size(); ++i) {
-      if (env.argv[i] == "--control-addr" && i + 2 < env.argv.size()) {
-        control.node = static_cast<os::NodeId>(std::stoul(env.argv[i + 1]));
-        control.port = static_cast<net::Port>(std::stoul(env.argv[i + 2]));
-      } else if (env.argv[i] == "--proxy-id") {
-        proxy_id = std::stoi(env.argv[i + 1]);
-      }
+    const std::vector<std::string>& a = env.argv;
+    const bool shaped =
+        a.size() == 6 && a[1] == "--control-addr" && a[4] == "--proxy-id";
+    const auto node = shaped ? rpc::parse_number<os::NodeId>(a[2]) : std::nullopt;
+    const auto port = shaped ? rpc::parse_number<net::Port>(a[3]) : std::nullopt;
+    const auto proxy_id = shaped ? rpc::parse_number<int>(a[5]) : std::nullopt;
+    if (!node || !port || !proxy_id || *proxy_id < 0) {
+      throw std::invalid_argument("hydra_pmi_proxy: bad argv");
     }
-    if (proxy_id < 0) throw std::invalid_argument("hydra_pmi_proxy: bad argv");
+    const net::Address control{*node, *port};
 
     net::SocketPtr sock =
         co_await env.machine->network().connect(env.node, control);
-    sock->send(net::Message("proxy.hello", {std::to_string(proxy_id)}));
+    rpc::post(*sock, rpc::ProxyHello{*proxy_id});
     auto reply = co_await sock->recv();
-    if (!reply || reply->tag != "proxy.exec") co_return;  // mpiexec gone
+    // mpiexec gone, or a malformed exec: start no rank (mpiexec sees EOF).
+    std::string bad;
+    const auto exec =
+        reply ? rpc::decode_as<rpc::ProxyExec>(*reply, bad) : std::nullopt;
+    if (!exec) co_return;
 
-    // Decode: nprocs ppn base user_binary nargv argv... k=v...
-    std::size_t i = 0;
-    const int nprocs = std::stoi(reply->args.at(i++));
-    const int ppn = std::stoi(reply->args.at(i++));
-    const int base = std::stoi(reply->args.at(i++));
-    const std::string user_binary = reply->args.at(i++);
-    const int nargv = std::stoi(reply->args.at(i++));
-    std::vector<std::string> uargv;
-    for (int k = 0; k < nargv; ++k) uargv.push_back(reply->args.at(i++));
-    std::map<std::string, std::string> uvars;
-    for (; i < reply->args.size(); ++i) {
-      const std::string& kv = reply->args[i];
-      const auto eq = kv.find('=');
-      if (eq != std::string::npos) uvars[kv.substr(0, eq)] = kv.substr(eq + 1);
-    }
-
-    const int local = std::min(ppn, nprocs - base);
-    auto shared = std::make_shared<ProxyShared>();
+    const int local = std::min(exec->ppn, exec->nprocs - exec->base);
+    auto exit_code = std::make_shared<int>(0);
     std::vector<os::Machine::Pid> pids;
     pids.reserve(static_cast<std::size_t>(std::max(local, 0)));
     for (int r = 0; r < local; ++r) {
       os::ExecOptions opts;
-      opts.binary = user_binary;
+      opts.binary = exec->binary;
       pids.push_back(env.machine->exec(
-          env.node, uargv.at(0) + ":" + std::to_string(base + r),
-          rank_body(env.machine, &apps, env.node, uargv, uvars, control,
-                    base + r, nprocs, shared),
+          env.node, exec->argv.front() + ":" + std::to_string(exec->base + r),
+          rank_body(env.machine, &apps, env.node, *exec, control,
+                    exec->base + r, exit_code),
           std::move(opts)));
     }
     for (auto pid : pids) co_await env.machine->wait(pid);
-    sock->send(net::Message(
-        "proxy.exit",
-        {std::to_string(proxy_id), std::to_string(shared->exit_code)}));
+    rpc::post(*sock, rpc::ProxyExit{*proxy_id, *exit_code});
     // Destructor closes the socket; mpiexec sees exit then EOF.
   };
 }
@@ -261,65 +245,80 @@ sim::Task<void> Mpiexec::handle_connection(net::SocketPtr sock) {
   bool proxy_reported = false;
   bool rank_finalized = false;
   int rank = -1;
-  for (;;) {
-    auto m = co_await sock->recv();
+  // Why frame `m` broke the protocol; once set, nothing more is read from
+  // this connection and the job fails with kProtocol.
+  std::string bad;
+  std::optional<net::Message> m;
+  while (bad.empty()) {
+    m = co_await sock->recv();
     if (!m) break;  // EOF
-    if (m->tag == "proxy.hello") {
+    if (auto hello = rpc::decode_as<rpc::ProxyHello>(*m, bad)) {
+      if (is_proxy || !valid_proxy(hello->proxy_id)) {
+        bad = "unexpected proxy " + std::to_string(hello->proxy_id);
+        continue;
+      }
       is_proxy = true;
-      const int proxy_id = std::stoi(m->args.at(0));
       // Bootstrap handling is serialized within one mpiexec and charges
       // the per-proxy setup cost (see MpiexecSpec::proxy_setup_cost).
       {
         obs::ScopedSpan setup(machine_->tracer(), "mpiexec.proxy_setup",
                               spec_.trace_track, span_mpx_);
-        setup.attr("proxy", static_cast<std::int64_t>(proxy_id));
+        setup.attr("proxy", static_cast<std::int64_t>(hello->proxy_id));
         sim::Permit permit = co_await sim::Permit::acquire(*setup_sem_);
         co_await sim::delay(spec_.proxy_setup_cost);
       }
-      const int base = proxy_id * spec_.ranks_per_proxy;
-      std::vector<std::string> args{
-          std::to_string(spec_.nprocs), std::to_string(spec_.ranks_per_proxy),
-          std::to_string(base), spec_.user_binary,
-          std::to_string(spec_.user_argv.size())};
-      for (const auto& a : spec_.user_argv) args.push_back(a);
-      for (const auto& [k, v] : spec_.user_vars) args.push_back(k + "=" + v);
-      sock->send(net::Message("proxy.exec", std::move(args)));
+      rpc::post(*sock, rpc::ProxyExec{spec_.nprocs, spec_.ranks_per_proxy,
+                                      hello->proxy_id * spec_.ranks_per_proxy,
+                                      spec_.user_binary, spec_.user_argv,
+                                      spec_.user_vars});
       ++proxies_wired_;
       note_launch_progress();
-    } else if (m->tag == "proxy.exit") {
+    } else if (auto exit = rpc::decode_as<rpc::ProxyExit>(*m, bad)) {
+      if (!is_proxy || proxy_reported || !valid_proxy(exit->proxy_id)) {
+        bad = "unexpected proxy " + std::to_string(exit->proxy_id);
+        continue;
+      }
       proxy_reported = true;
-      note_proxy_done(std::stoi(m->args.at(1)));
-    } else if (m->tag == "pmi.init") {
-      rank = std::stoi(m->args.at(0));
-      rank_socks_.at(static_cast<std::size_t>(rank)) = sock;
+      note_proxy_done(exit->code);
+    } else if (auto init = rpc::decode_as<rpc::PmiInit>(*m, bad)) {
+      if (rank >= 0 || !free_rank(init->rank)) {
+        bad = "unexpected rank " + std::to_string(init->rank);
+        continue;
+      }
+      rank = init->rank;
+      rank_socks_[static_cast<std::size_t>(rank)] = sock;
       ++ranks_inited_;
       note_launch_progress();
-    } else if (m->tag == "pmi.put") {
-      kvs_.put(m->args.at(0), m->args.at(1));
-    } else if (m->tag == "pmi.get") {
-      std::string value = co_await kvs_.get(m->args.at(0));
-      sock->send(net::Message("pmi.value", {m->args.at(0), std::move(value)}));
-    } else if (m->tag == "pmi.barrier_in") {
+    } else if (auto put = rpc::decode_as<rpc::PmiPut>(*m, bad)) {
+      kvs_.put(put->key, std::move(put->value));
+    } else if (auto get = rpc::decode_as<rpc::PmiGet>(*m, bad)) {
+      std::string value = co_await kvs_.get(get->key);
+      rpc::post(*sock, rpc::PmiValue{std::move(get->key), std::move(value)});
+    } else if (rpc::decode_as<rpc::PmiBarrier>(*m, bad)) {
       if (++barrier_waiting_ >= spec_.nprocs) {
         barrier_waiting_ = 0;
         for (auto& rs : rank_socks_) {
-          if (rs) rs->send(net::Message("pmi.barrier_out"));
+          if (rs) rpc::post(*rs, rpc::PmiBarrierOut{});
         }
       }
-    } else if (m->tag == "pmi.finalize") {
+    } else if (rpc::decode_as<rpc::PmiFinalize>(*m, bad)) {
       rank_finalized = true;
-    } else if (m->tag == "stdout") {
-      stdout_bytes_ += m->payload_bytes;
+    } else if (auto out = rpc::decode_as<rpc::StdoutNote>(*m, bad)) {
+      stdout_bytes_ += out->bytes;
+    } else if (bad.empty()) {
+      bad = "unknown verb";
     }
   }
   // Connection gone: decide whether that was orderly.
-  if (is_proxy && !proxy_reported) {
+  if (!bad.empty()) {
+    fail(MpiexecFailKind::kProtocol, m->tag + ": " + bad);
+  } else if (is_proxy && !proxy_reported) {
     fail(MpiexecFailKind::kDisconnect, "proxy disconnected before exit report");
   } else if (rank >= 0 && !rank_finalized && !done()) {
     fail(MpiexecFailKind::kDisconnect,
          "rank " + std::to_string(rank) + " disconnected before finalize");
   }
-  if (rank >= 0) rank_socks_.at(static_cast<std::size_t>(rank)).reset();
+  if (rank >= 0) rank_socks_[static_cast<std::size_t>(rank)].reset();
 }
 
 }  // namespace jets::pmi

@@ -82,6 +82,7 @@ enum class MpiexecFailKind {
   kDisconnect,     // a proxy or rank connection died before its exit report
   kLaunchTimeout,  // the gang never finished wiring within launch_timeout
   kAborted,        // abort() was called (scheduler timeout / preemption)
+  kProtocol,       // a peer sent a malformed, unknown or out-of-place frame
 };
 
 /// One mpiexec instance == one MPI job. JETS runs many of these
@@ -142,6 +143,10 @@ class Mpiexec {
  private:
   sim::Task<void> control_service();
   sim::Task<void> handle_connection(net::SocketPtr sock);
+  bool valid_proxy(int id) const { return id >= 0 && id < proxy_count(); }
+  bool free_rank(int r) const {
+    return r >= 0 && r < spec_.nprocs && !rank_socks_[static_cast<std::size_t>(r)];
+  }
   void note_proxy_done(int code);
   void note_launch_progress();
   void fail(MpiexecFailKind kind, const std::string& why);

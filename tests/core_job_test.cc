@@ -57,6 +57,7 @@ TEST(ParseJobList, BadPpnOptionsThrow) {
   EXPECT_THROW(parse_job_list("MPI[ppn=zero]: 4 app\n"), std::invalid_argument);
   EXPECT_THROW(parse_job_list("MPI[ppn=0]: 4 app\n"), std::invalid_argument);
   EXPECT_THROW(parse_job_list("MPI[nodes=2]: 4 app\n"), std::invalid_argument);
+  EXPECT_THROW(parse_job_list("MPI[ppn=2x]: 4 app\n"), std::invalid_argument);
 }
 
 TEST(ParseJobList, MalformedLinesThrow) {
@@ -64,6 +65,7 @@ TEST(ParseJobList, MalformedLinesThrow) {
   EXPECT_THROW(parse_job_list("MPI: 4\n"), std::invalid_argument);
   EXPECT_THROW(parse_job_list("MPI: 0 app\n"), std::invalid_argument);
   EXPECT_THROW(parse_job_list("MPI: 2 app", 0), std::invalid_argument);
+  EXPECT_THROW(parse_job_list("MPI: 4x app\n"), std::invalid_argument);
 }
 
 TEST(JobSpec, WorkersNeededRoundsUp) {

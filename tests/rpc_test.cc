@@ -1,7 +1,7 @@
 // Protocol conformance + fuzz battery for the typed RPC layer (ctest
 // label: rpc).
 //
-// Four layers of coverage:
+// Six layers of coverage:
 //
 //   1. Round trips: every typed protocol struct encodes to the historical
 //      wire form and decodes back to an identical value.
@@ -14,16 +14,18 @@
 //      must additionally be canonical (decode(encode(decode(m))) is
 //      identity).
 //   4. Channel conformance, in-simulator: correlation matching under
-//      out-of-order completion, same-key FIFO resolution, bounded
-//      pipeline windows, deadline expiry + late-reply orphans, peer-close
-//      draining in issue order, post-EOF refusal, sync/async handler
-//      dispatch, and the serve-less pump mode the PMI client uses —
-//      including the GCC 12 aggregate-prvalue regression shape (see the
-//      note in rpc.hh).
-//
-// Plus one service-level regression: a worker whose socket dies between
-// task claim and flush must surface through RpcError::kPeerClosed — typed,
-// counted in jets.rpc.peer_closed, and classified kWorkerLost.
+//      out-of-order completion, same-key FIFO resolution, peer-close
+//      draining in issue order, post-EOF refusal, orphan/unknown-tag/
+//      decode-error counting, sync/async handler dispatch, and the
+//      serve-less pump mode the PMI client uses — including the GCC 12
+//      aggregate-prvalue regression shape (see the note in rpc.hh).
+//   5. A service-level regression: a worker whose socket dies between
+//      task claim and flush must surface through RpcError::kPeerClosed —
+//      typed, counted in jets.rpc.peer_closed, and classified kWorkerLost.
+//   6. Hostile peers against the socket readers: a malformed, unknown or
+//      out-of-place frame sent to mpiexec fails only that job (kProtocol)
+//      without aborting the simulation, a malformed proxy.exec makes the
+//      proxy leave without ranks, and a bad mpi.hello is dropped.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,11 +38,14 @@
 #include "apps/synthetic.hh"
 #include "core/chaos.hh"
 #include "core/standalone.hh"
+#include "mpi/comm.hh"
 #include "net/fabric.hh"
 #include "net/rpc.hh"
 #include "net/socket.hh"
 #include "obs/metrics.hh"
+#include "pmi/hydra.hh"
 #include "sim/sim.hh"
+#include "testbed.hh"
 #include "testutil.hh"
 
 // gtest's ASSERT_* macros `return;` on failure, which is ill-formed inside
@@ -170,6 +175,36 @@ TEST(RpcRoundTrip, PmiFamily) {
   EXPECT_EQ(PmiFinalize::decode(PmiFinalize(2).encode()).value().rank, 2);
 }
 
+TEST(RpcRoundTrip, HydraProxyControl) {
+  // Byte-for-byte the frames mpiexec and the proxy built by hand.
+  EXPECT_TRUE(same_frame(ProxyHello(3).encode(), Message("proxy.hello", {"3"})));
+  EXPECT_EQ(ProxyHello::decode(ProxyHello(3).encode()).value().proxy_id, 3);
+  const ProxyExec exec(4, 2, 2, "namd2", {"namd2.sh", "in.conf"},
+                       {{"A", "1"}, {"B", "x=y"}});
+  EXPECT_TRUE(same_frame(exec.encode(),
+                         Message("proxy.exec", {"4", "2", "2", "namd2", "2",
+                                                "namd2.sh", "in.conf", "A=1",
+                                                "B=x=y"})));
+  auto back = ProxyExec::decode(exec.encode());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().nprocs, 4);
+  EXPECT_EQ(back.value().ppn, 2);
+  EXPECT_EQ(back.value().base, 2);
+  EXPECT_EQ(back.value().binary, "namd2");
+  EXPECT_EQ(back.value().argv, exec.argv);
+  EXPECT_EQ(back.value().vars, exec.vars);
+  EXPECT_TRUE(same_frame(ProxyExit(1, 0).encode(),
+                         Message("proxy.exit", {"1", "0"})));
+  auto exit = ProxyExit::decode(ProxyExit(1, 3).encode());
+  ASSERT_TRUE(exit.ok());
+  EXPECT_EQ(exit.value().proxy_id, 1);
+  EXPECT_EQ(exit.value().code, 3);
+  EXPECT_TRUE(same_frame(StdoutNote(11'000).encode(),
+                         Message("stdout", {}, 11'000)));
+  EXPECT_EQ(StdoutNote::decode(StdoutNote(11'000).encode()).value().bytes,
+            11'000u);
+}
+
 // --- 2. Targeted decode rejection -----------------------------------------
 
 using Kind = DecodeError::Kind;
@@ -200,6 +235,10 @@ TEST(RpcDecode, WrongTagRejectedEverywhere) {
   EXPECT_EQ(reject<PmiBarrierOut>(alien), Kind::kBadTag);
   EXPECT_EQ(reject<PmiBarrier>(alien), Kind::kBadTag);
   EXPECT_EQ(reject<PmiFinalize>(alien), Kind::kBadTag);
+  EXPECT_EQ(reject<ProxyHello>(alien), Kind::kBadTag);
+  EXPECT_EQ(reject<ProxyExec>(alien), Kind::kBadTag);
+  EXPECT_EQ(reject<ProxyExit>(alien), Kind::kBadTag);
+  EXPECT_EQ(reject<StdoutNote>(alien), Kind::kBadTag);
 }
 
 TEST(RpcDecode, RegisterReq) {
@@ -297,6 +336,30 @@ TEST(RpcDecode, PmiNumericFields) {
             Kind::kBadNumber);
 }
 
+TEST(RpcDecode, HydraProxyControl) {
+  EXPECT_EQ(reject<ProxyHello>(Message("proxy.hello")), Kind::kMissingArg);
+  EXPECT_EQ(reject<ProxyHello>(Message("proxy.hello", {"x"})),
+            Kind::kBadNumber);
+  EXPECT_EQ(reject<ProxyHello>(Message("proxy.hello", {"1", "2"})),
+            Kind::kTrailingArgs);
+  EXPECT_EQ(reject<ProxyExit>(Message("proxy.exit", {"0"})), Kind::kMissingArg);
+  EXPECT_EQ(reject<ProxyExit>(Message("proxy.exit", {"0", "ok"})),
+            Kind::kBadNumber);
+  EXPECT_EQ(reject<ProxyExit>(Message("proxy.exit", {"0", "0", "0"})),
+            Kind::kTrailingArgs);
+  EXPECT_EQ(reject<ProxyExec>(Message("proxy.exec", {"2", "1", "0"})),
+            Kind::kMissingArg);
+  EXPECT_EQ(reject<ProxyExec>(Message("proxy.exec", {"2", "one", "0", "b", "1", "a"})),
+            Kind::kBadNumber);
+  // A proxy with no command to fork.
+  EXPECT_EQ(reject<ProxyExec>(Message("proxy.exec", {"2", "1", "0", "b", "0"})),
+            Kind::kMissingArg);
+  EXPECT_EQ(reject<ProxyExec>(
+                Message("proxy.exec", {"2", "1", "0", "b", "1", "a", "novar"})),
+            Kind::kTrailingArgs);
+  EXPECT_EQ(reject<StdoutNote>(Message("stdout", {"x"})), Kind::kTrailingArgs);
+}
+
 // --- 3. Seeded fuzz --------------------------------------------------------
 
 /// Feeds `m` to every decoder; any accepted value must re-encode to a
@@ -333,6 +396,10 @@ void fuzz_all_decoders(const Message& m) {
   fuzz_one<PmiBarrierOut>(m);
   fuzz_one<PmiBarrier>(m);
   fuzz_one<PmiFinalize>(m);
+  fuzz_one<ProxyHello>(m);
+  fuzz_one<ProxyExec>(m);
+  fuzz_one<ProxyExit>(m);
+  fuzz_one<StdoutNote>(m);
 }
 
 TEST(RpcFuzz, RandomFramesNeverCrashAnyDecoder) {
@@ -342,6 +409,7 @@ TEST(RpcFuzz, RandomFramesNeverCrashAnyDecoder) {
       "run",     "kill",           "staged",       "stagein",
       "pmi.init", "pmi.put",       "pmi.value",    "pmi.get",
       "pmi.barrier_in", "pmi.barrier_out", "pmi.finalize",
+      "proxy.hello", "proxy.exec",  "proxy.exit",   "stdout",
       "bogus",   "",               "REG",          "done\n"};
   const std::vector<std::string> pool = {
       "",       "0",         "1",      "-1",       "42",
@@ -384,6 +452,9 @@ TEST(RpcFuzz, ValidFramesSurviveSingleFieldMutation) {
       PmiGet("k").encode(),
       PmiBarrier(0).encode(),
       PmiFinalize(0).encode(),
+      ProxyHello(2).encode(),
+      ProxyExec(4, 2, 2, "bin", {"app", "x"}, {{"K", "V"}}).encode(),
+      ProxyExit(2, 1).encode(),
   };
   StageHeader h;
   h.path = "p";
@@ -434,9 +505,8 @@ class RpcChannelTest : public ::testing::Test {
     ASSERT_NE(client, nullptr);
   }
 
-  Channel::Config cfg(std::size_t window = 0) {
+  Channel::Config cfg() {
     Channel::Config c;
-    c.window = window;
     c.metrics = &metrics;
     return c;
   }
@@ -512,87 +582,6 @@ TEST_F(RpcChannelTest, SameKeyCallsResolveFifo) {
   }
   engine.run();
   EXPECT_EQ(statuses, (std::vector<int>{7, 8}));
-}
-
-TEST_F(RpcChannelTest, CallCbFailsFastWhenWindowFull) {
-  establish();
-  Channel chan(engine, client, cfg(/*window=*/2));
-  int completions = 0;
-  auto sink = [&completions](Expected<TaskDone, RpcError>) { ++completions; };
-  EXPECT_TRUE(chan.call_cb(TaskRun("a", {}), sink).ok());
-  EXPECT_TRUE(chan.call_cb(TaskRun("b", {}), sink).ok());
-  EXPECT_EQ(chan.window_available(), 0u);
-  auto third = chan.call_cb(TaskRun("c", {}), sink);
-  ASSERT_FALSE(third.ok());
-  EXPECT_EQ(third.error(), RpcError::kWindowFull);
-  EXPECT_EQ(chan.in_flight(), 2u);  // the refused call was never issued
-  EXPECT_EQ(completions, 0);
-  EXPECT_EQ(count("jets.rpc.calls"), 2u);
-}
-
-TEST_F(RpcChannelTest, CallAwaitsWindowCreditFifo) {
-  establish();
-  Channel chan(engine, client, cfg(/*window=*/1));
-  engine.spawn("serve", chan.serve());
-  // Echo peer: every request is answered immediately, so the single
-  // credit recycles and both calls eventually run.
-  engine.spawn("peer", [](SocketPtr s) -> Task<void> {
-    for (int i = 0; i < 2; ++i) {
-      auto m = co_await s->recv();
-      CO_ASSERT_TRUE(m.has_value());
-      auto run = TaskRun::decode(*m);
-      CO_ASSERT_TRUE(run.ok());
-      s->send(
-          TaskDone(run.value().task_id, 0, TaskDone::Reason::kApp).encode());
-    }
-    s->close();
-  }(server));
-  std::vector<std::string> done_order;
-  for (int i = 0; i < 2; ++i) {
-    engine.spawn("caller", [](Channel& ch, int i,
-                              std::vector<std::string>& order) -> Task<void> {
-      auto r = co_await ch.call(TaskRun("w" + std::to_string(i), {}));
-      CO_ASSERT_TRUE(r.ok());
-      order.push_back(r.value().task_id);
-    }(chan, i, done_order));
-  }
-  engine.run();
-  // The second call could only issue after the first completed (window=1),
-  // so completion order is issue order.
-  EXPECT_EQ(done_order, (std::vector<std::string>{"w0", "w1"}));
-  EXPECT_EQ(chan.window_available(), 1u);
-  EXPECT_EQ(count("jets.rpc.completed"), 2u);
-}
-
-TEST_F(RpcChannelTest, DeadlineExpiresAndLateReplyBecomesOrphan) {
-  establish();
-  Channel chan(engine, client, cfg());
-  engine.spawn("serve", chan.serve());
-  engine.spawn("peer", [](SocketPtr s) -> Task<void> {
-    auto m = co_await s->recv();
-    CO_ASSERT_TRUE(m.has_value());
-    co_await sim::delay(sim::seconds(10));  // well past the caller deadline
-    s->send(TaskDone("slow", 0, TaskDone::Reason::kApp).encode());
-    s->close();
-  }(server));
-  sim::Time issued = -1;
-  sim::Time failed_at = -1;
-  engine.spawn("caller", [](Engine& e, Channel& ch, sim::Time& t0,
-                            sim::Time& at) -> Task<void> {
-    t0 = e.now();
-    auto r = co_await ch.call(TaskRun("slow", {}), sim::seconds(5));
-    CO_ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error(), RpcError::kTimeout);
-    at = e.now();
-  }(engine, chan, issued, failed_at));
-  engine.run();
-  // Fails exactly one deadline after issue (issue time itself is a few
-  // simulated microseconds in, once connection setup has settled).
-  EXPECT_EQ(failed_at, issued + sim::seconds(5));
-  EXPECT_EQ(count("jets.rpc.timeouts"), 1u);
-  // The reply that eventually arrived found no pending call.
-  EXPECT_EQ(count("jets.rpc.orphans"), 1u);
-  EXPECT_EQ(count("jets.rpc.completed"), 0u);
 }
 
 TEST_F(RpcChannelTest, PeerCloseDrainsPendingCallsInIssueOrder) {
@@ -764,28 +753,6 @@ TEST_F(RpcChannelTest, PumpModePeerCloseFailsCall) {
   EXPECT_TRUE(done);
 }
 
-TEST_F(RpcChannelTest, PumpModeDeadlineTimesOut) {
-  establish();
-  engine.spawn("peer", [](SocketPtr s) -> Task<void> {
-    (void)co_await s->recv();
-    co_await sim::delay(sim::seconds(30));  // never answer in time
-    s->close();
-  }(server));
-  sim::Time issued = -1;
-  sim::Time failed_at = -1;
-  engine.spawn("rank", [](Engine& e, SocketPtr s, sim::Time& t0,
-                          sim::Time& at) -> Task<void> {
-    Channel chan(e, s);
-    t0 = e.now();
-    auto r = co_await chan.call(PmiGet{"k"}, sim::seconds(2));
-    CO_ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error(), RpcError::kTimeout);
-    at = e.now();
-  }(engine, client, issued, failed_at));
-  engine.run();
-  EXPECT_EQ(failed_at, issued + sim::seconds(2));
-}
-
 TEST_F(RpcChannelTest, NotifyReachesPeerAndCounts) {
   establish();
   Channel chan(engine, client, cfg());
@@ -854,3 +821,141 @@ TEST(RpcService, RunToDisconnectedWorkerSurfacesAsPeerClosed) {
 
 }  // namespace
 }  // namespace jets::core
+
+// --- 6. Hostile peers ------------------------------------------------------
+
+namespace jets::pmi {
+namespace {
+
+using net::Message;
+using test::TestBed;
+
+/// Dials `to` from `from`, sends `frames`, then reads until the far end
+/// hangs up; `dropped` records that it did.
+sim::Task<void> hostile_peer(os::Machine& machine, os::NodeId from,
+                             net::Address to, std::vector<Message> frames,
+                             bool& dropped) {
+  net::SocketPtr sock = co_await machine.network().connect(from, to);
+  for (Message& f : frames) sock->send(std::move(f));
+  for (;;) {
+    auto m = co_await sock->recv();
+    if (!m) break;
+  }
+  dropped = true;
+}
+
+/// Starts a 2-rank mpiexec of `app` with its proxies on `nodes`.
+std::unique_ptr<Mpiexec> start_job(TestBed& bed, const std::string& app,
+                                   const std::vector<os::NodeId>& nodes) {
+  MpiexecSpec spec;
+  spec.user_argv = {app};
+  spec.nprocs = 2;
+  return bed.launch_manual(spec, nodes);
+}
+
+sim::Task<void> wait_rc(Mpiexec& mpx, int& rc) { rc = co_await mpx.wait(); }
+
+TEST(RpcHostilePeer, BadControlFrameFailsOnlyItsOwnJob) {
+  struct Case {
+    const char* tag;
+    std::vector<Message> frames;
+  };
+  const std::vector<Case> cases = {
+      {"proxy.exit", {Message("proxy.exit", {"0"})}},
+      {"pmi.init", {Message("pmi.init", {"abc"})}},
+      {"pmi.init", {Message("pmi.init", {"99"})}},
+      {"proxy.hello", {Message("proxy.hello", {"x"})}},
+      {"pmi.put", {Message("pmi.put", {"k"})}},
+      {"no.such.verb", {Message("no.such.verb")}},
+      {"pmi.init", {Message("pmi.init", {"0"}), Message("pmi.init", {"0"})}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.tag) + " x" + std::to_string(c.frames.size()));
+    TestBed bed(os::Machine::breadboard(8));
+    bed.install_app("noop", [](os::Env&) -> sim::Task<void> { co_return; });
+    auto hit = start_job(bed, "noop", {0, 1});
+    auto clean = start_job(bed, "noop", {2, 3});
+    bool dropped = false;
+    bed.engine.spawn("hostile", hostile_peer(bed.machine, 4,
+                                             hit->control_address(),
+                                             c.frames, dropped));
+    int hit_rc = -1;
+    int clean_rc = -1;
+    bed.engine.spawn("wait-hit", wait_rc(*hit, hit_rc));
+    bed.engine.spawn("wait-clean", wait_rc(*clean, clean_rc));
+    EXPECT_NO_THROW(bed.engine.run());
+    EXPECT_NE(hit_rc, 0);
+    EXPECT_EQ(hit->fail_kind(), MpiexecFailKind::kProtocol);
+    EXPECT_EQ(hit->failure_reason().rfind(std::string(c.tag) + ": ", 0), 0u)
+        << hit->failure_reason();
+    EXPECT_TRUE(dropped);  // mpiexec stopped reading and hung up
+    EXPECT_EQ(clean_rc, 0);
+    EXPECT_EQ(clean->fail_kind(), MpiexecFailKind::kNone);
+  }
+}
+
+TEST(RpcHostilePeer, MalformedProxyExecStartsNoRank) {
+  TestBed bed(os::Machine::breadboard(4));
+  int ran = 0;
+  bed.install_app("noop", [&ran](os::Env&) -> sim::Task<void> {
+    ++ran;
+    co_return;
+  });
+  // A fake mpiexec answers the proxy's hello with an exec naming no command.
+  const net::Address control{3, bed.machine.allocate_port()};
+  auto listener = bed.machine.network().listen(control);
+  bool proxy_left = false;
+  bed.engine.spawn("fake-mpiexec", [](net::Listener& l,
+                                      bool& left) -> sim::Task<void> {
+    net::SocketPtr sock = co_await l.accept();
+    (void)co_await sock->recv();  // proxy.hello
+    Message exec("proxy.exec", {"2", "1", "0", "noop", "0"});
+    sock->send(std::move(exec));
+    auto next = co_await sock->recv();
+    left = !next.has_value();  // EOF, no proxy.exit
+  }(*listener, proxy_left));
+  bed.run_proxy(0, {kProxyBinary, "--control-addr", std::to_string(control.node),
+                    std::to_string(control.port), "--proxy-id", "0"});
+  EXPECT_NO_THROW(bed.engine.run());
+  EXPECT_TRUE(proxy_left);
+  EXPECT_EQ(ran, 0);
+}
+
+TEST(RpcHostilePeer, BadMpiHelloIsDroppedWithoutAbortingTheRun) {
+  TestBed bed(os::Machine::breadboard(4));
+  bool dropped = false;
+  int got_tag = 0;
+  bed.install_app("hello_app", [&](os::Env& env) -> sim::Task<void> {
+    auto comm = co_await mpi::Comm::init(env);
+    if (comm->rank() == 1) {
+      // Dial rank 0's card as a peer would, but introduce ourselves badly.
+      const std::string card = co_await env.pmi->get("card.0");
+      const auto space = card.find(' ');
+      const net::Address addr{
+          *net::rpc::parse_number<os::NodeId>(card.substr(0, space)),
+          *net::rpc::parse_number<net::Port>(card.substr(space + 1))};
+      net::SocketPtr sock =
+          co_await env.machine->network().connect(env.node, addr);
+      Message hello("mpi.hello", {"x"});
+      sock->send(std::move(hello));
+      auto reply = co_await sock->recv();
+      dropped = !reply.has_value();
+      // The real wire-up still works afterwards.
+      const mpi::RecvResult r = co_await comm->recv(0);
+      got_tag = r.tag;
+    } else {
+      co_await comm->send(1, 64, /*tag=*/7);
+    }
+    co_await comm->finalize();
+  });
+  auto mpx = start_job(bed, "hello_app", {0, 1});
+  int rc = -1;
+  bed.engine.spawn("wait", wait_rc(*mpx, rc));
+  EXPECT_NO_THROW(bed.engine.run());
+  EXPECT_TRUE(dropped);
+  EXPECT_EQ(got_tag, 7);
+  EXPECT_EQ(rc, 0);
+}
+
+}  // namespace
+}  // namespace jets::pmi
