@@ -37,9 +37,11 @@
 # (-L rpc, whose malformed-frame corpus is the decoders' memory-safety
 # oracle), and the engine/sync tests, which
 # exercise the slab allocators' recycling paths hardest, plus the
-# allocation-budget tests (the intrusive wait lists' unlink paths) and the
+# allocation-budget tests (the intrusive wait lists' unlink paths), the
 # Hydra/PMI/MPI suites (Mpiexec, MpiComm, KeyValueSpace: the control and
-# rank sockets whose lifetimes the typed readers manage). The sanitizer
+# rank sockets whose lifetimes the typed readers manage) and the machine
+# tests (MachineTest: the process slab's recycled pids and intrusive child
+# lists, over the engine's generation-checked actor handles). The sanitizer
 # pass also replays scheduler_equiv.sh against the asan build: the typed
 # RPC layer must keep all 15 figures byte-identical under instrumentation
 # too (same simulation, same bytes).
@@ -168,7 +170,7 @@ if [[ "$run_asan" == 1 ]]; then
   ctest --preset asan-ubsan --no-tests=error -L elastic -j "$(nproc)"
   ctest --preset asan-ubsan --no-tests=error -L rpc -j "$(nproc)"
   ctest --preset asan-ubsan --no-tests=error -j "$(nproc)" \
-    -R '^(Engine|Channel|Semaphore|Gate|Time|Rng|AllocBudget|Mpiexec|MpiComm|KeyValueSpace)\.'
+    -R '^(Engine|Channel|Semaphore|Gate|Time|Rng|AllocBudget|Mpiexec|MpiComm|KeyValueSpace|MachineTest)\.'
 
   echo "== scheduler equivalence vs golden manifest (asan build) =="
   ./scripts/scheduler_equiv.sh build-asan

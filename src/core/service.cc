@@ -489,16 +489,14 @@ void Service::stage_call_settled(
   if (rem > 0 && --rem == 0) staging_.gate(slot).open();
 }
 
-void Service::on_task_done(const net::rpc::TaskDone& done) {
-  const auto tit = task_to_job_.find(done.task_id);
-  if (tit == task_to_job_.end()) return;
-  const JobId jid = tit->second;
-  task_to_job_.erase(tit);
+void Service::on_task_done(JobId id, const net::rpc::TaskDone& done) {
+  const Job* job = jobs_.find(id);
+  if (!job || job->task_id != done.task_id) return;
   // The worker's exit-reason token ("app"/"watchdog"/"killed", see
   // worker.hh) all classify as the application's own failure: the
   // watchdog kill (124) means the *app* hung, and service-requested
   // kills only reach here for tasks the service no longer tracks.
-  job_finished(jid, done.status,
+  job_finished(id, done.status,
                done.status == 0 ? FailureReason::kNone
                                 : FailureReason::kAppExit);
 }
@@ -629,9 +627,14 @@ sim::Task<void> Service::worker_handler(net::SocketPtr sock) {
     handle_staged_ack(wid, ack);
   });
   ch.on<net::rpc::TaskDone>([this, &wid](net::rpc::TaskDone&& done) {
-    // Unmatched dones: MPI proxy exits (mpiexec owns their outcome — the
-    // on_task_done lookup misses) and tasks the service no longer tracks.
-    if (wid != 0) on_task_done(done);
+    // Unmatched dones: restored ghosts' tasks, MPI proxy exits (mpiexec
+    // owns their outcome — the ghost lookup misses) and tasks the service
+    // no longer tracks.
+    if (wid == 0) return;
+    if (const auto it = task_to_job_.find(done.task_id);
+        it != task_to_job_.end()) {
+      on_task_done(it->second, done);
+    }
   });
   co_await ch.serve();
   // Worker gone (allocation expired, node fault, kill): disregard it.
@@ -843,7 +846,6 @@ sim::Task<void> Service::place_job(JobId id) {
 
   if (spec.kind == JobKind::kSequential) {
     const std::string tid = "t" + std::to_string(next_task_++);
-    task_to_job_[tid] = id;
     job.task_id = tid;
     workers_.at(claimed.front()).task_id = tid;
     co_await sim::delay(config_.dispatch_overhead);
@@ -871,10 +873,10 @@ sim::Task<void> Service::place_job(JobId id) {
     run.vars = spec.vars;
     const auto sent = w->rpc->call_cb<net::rpc::TaskRun>(
         run,
-        [this](net::rpc::Expected<net::rpc::TaskDone, net::rpc::RpcError> r) {
+        [this, id](net::rpc::Expected<net::rpc::TaskDone, net::rpc::RpcError> r) {
           // Errors (kPeerClosed drain) need no action here: the disconnect
           // bookkeeping fails the attempt at its historical point.
-          if (r.ok()) on_task_done(r.value());
+          if (r.ok()) on_task_done(id, r.value());
         });
     if (!sent.ok()) {
       // call_cb counted the refusal; just fail the attempt.
@@ -986,10 +988,7 @@ void Service::job_finished(JobId id, int status, FailureReason reason) {
     if (w && w->job == id) w->job = 0;
   }
   job.assigned.clear();
-  if (!job.task_id.empty()) {
-    task_to_job_.erase(job.task_id);
-    job.task_id.clear();
-  }
+  job.task_id.clear();
   if (job.mpx) {
     // Release any actor still blocked in mpx->wait() before destroying the
     // gate it waits on, then tear down the control service (PMI EOF

@@ -856,9 +856,11 @@ class Service {
   void stage_call_settled(
       os::NodeId node, StageDigest digest,
       net::rpc::Expected<net::rpc::StageAck, net::rpc::RpcError> r);
-  /// A sequential task's "done" (matched run-call completion, or a stray
-  /// done for a task the service no longer tracks).
-  void on_task_done(const net::rpc::TaskDone& done);
+  /// A sequential task's "done" for job `id`: the run call's reply, or a
+  /// restored ghost's. Settles the attempt only if `done` names the task
+  /// the job is running now (a reply for a settled or retried attempt is
+  /// dropped).
+  void on_task_done(JobId id, const net::rpc::TaskDone& done);
 
   os::Machine* machine_;
   const os::AppRegistry* apps_;
@@ -879,9 +881,11 @@ class Service {
   /// out densely, so the table *is* the id space; workers recycle slots at
   /// EOF behind generation-checked handles. See core/table.hh.
   DenseTable<Job> jobs_;
-  SlotMap<Worker> workers_;
-  /// Outstanding sequential tasks. Lookup-only (never iterated), so the
-  /// unordered map is deterministic and O(1) on the done-message path.
+  sim::SlotMap<Worker> workers_;
+  /// Tasks of restored ghost jobs (snapshot restore writes it; nothing
+  /// else does). Their dones arrive with no run call pending in this
+  /// service; a live dispatch's reply carries its JobId in the call
+  /// instead. Lookup-only (never iterated), so deterministic.
   std::unordered_map<std::string, JobId> task_to_job_;
   PendingQueue queue_;
   ReadyPool ready_;

@@ -374,15 +374,6 @@ ChannelMetrics ChannelMetrics::bind(obs::MetricsRegistry& m) {
 
 // --- Channel --------------------------------------------------------------
 
-std::string Channel::index_key(std::string_view tag, std::string_view key) {
-  std::string k;
-  k.reserve(tag.size() + 1 + key.size());
-  k.append(tag);
-  k.push_back('\0');
-  k.append(key);
-  return k;
-}
-
 Channel::TagEntry* Channel::find_tag(std::string_view tag) {
   for (TagEntry& e : tags_) {
     if (e.tag == tag) return &e;
@@ -396,35 +387,32 @@ Channel::TagEntry* Channel::route(std::string_view tag) {
   return &tags_.back();
 }
 
-bool Channel::has_pending(std::string_view resp_tag,
-                          std::string_view key) const {
-  const auto it = index_.find(index_key(resp_tag, key));
-  return it != index_.end() && !it->second.empty();
+std::vector<Channel::PendingCall>::const_iterator Channel::find_call(
+    std::string_view resp_tag, std::string_view key) const {
+  return std::find_if(calls_.begin(), calls_.end(), [&](const PendingCall& p) {
+    return p.resp_tag == resp_tag && p.key == key;
+  });
 }
 
-bool Channel::try_complete(const char* resp_tag, const std::string& key,
+bool Channel::has_pending(std::string_view resp_tag,
+                          std::string_view key) const {
+  return find_call(resp_tag, key) != calls_.end();
+}
+
+bool Channel::try_complete(std::string_view resp_tag, std::string_view key,
                            void* resp) {
-  const auto it = index_.find(index_key(resp_tag, key));
-  if (it == index_.end() || it->second.empty()) return false;
-  finish_call(it->second.front(), resp, RpcError::kCancelled /* unused */);
+  const auto it = find_call(resp_tag, key);
+  if (it == calls_.end()) return false;
+  finish_call(static_cast<std::size_t>(it - calls_.begin()), resp,
+              RpcError::kCancelled /* unused */);
   return true;
 }
 
-void Channel::unlink_index(const PendingCall& p) {
-  const auto it = index_.find(index_key(p.resp_tag, p.key));
-  if (it == index_.end()) return;
-  std::deque<CallId>& dq = it->second;
-  const auto dit = std::find(dq.begin(), dq.end(), p.id);
-  if (dit != dq.end()) dq.erase(dit);
-  if (dq.empty()) index_.erase(it);
-}
-
-void Channel::finish_call(CallId id, void* resp, RpcError err) {
-  const auto it = calls_.find(id);
-  if (it == calls_.end()) return;
-  PendingCall p = std::move(it->second);
-  calls_.erase(it);
-  unlink_index(p);
+void Channel::finish_call(std::size_t pos, void* resp, RpcError err) {
+  // Out of the table before the callback runs: it may issue or finish
+  // calls on this channel.
+  PendingCall p = std::move(calls_[pos]);
+  calls_.erase(calls_.begin() + static_cast<std::ptrdiff_t>(pos));
   if (ChannelMetrics* mm = config_.metrics) {
     --mm->inflight_now;
     if (mm->inflight) mm->inflight->set(mm->inflight_now);
@@ -440,17 +428,20 @@ void Channel::finish_call(CallId id, void* resp, RpcError err) {
 }
 
 void Channel::fail_all(RpcError err) {
-  while (!calls_.empty()) {
-    finish_call(calls_.begin()->first, nullptr, err);
-  }
+  while (!calls_.empty()) finish_call(0, nullptr, err);
 }
 
 void Channel::fail_responses(std::string_view resp_tag, RpcError err) {
-  std::vector<CallId> ids;
-  for (const auto& [id, p] : calls_) {
-    if (resp_tag == p.resp_tag) ids.push_back(id);
+  // Only the calls pending now: one a callback issues is not written off.
+  const CallId end = next_id_;
+  for (;;) {
+    const auto it = std::find_if(
+        calls_.begin(), calls_.end(), [&](const PendingCall& p) {
+          return p.id < end && p.resp_tag == resp_tag;
+        });
+    if (it == calls_.end()) return;
+    finish_call(static_cast<std::size_t>(it - calls_.begin()), nullptr, err);
   }
-  for (const CallId id : ids) finish_call(id, nullptr, err);
 }
 
 void Channel::note_orphan() {

@@ -33,7 +33,6 @@
 #include <charconv>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -473,20 +472,15 @@ class Channel {
     }
     ensure_route<Resp>();
     const CallId id = next_id_++;
-    PendingCall p;
-    p.id = id;
-    p.resp_tag = Resp::kTag;
-    p.key = req.correlation_key();
-    p.complete = [cb = std::function<void(Expected<Resp, RpcError>)>(
-                      std::forward<F>(cb))](void* resp, RpcError err) {
-      if (resp) {
-        cb(Expected<Resp, RpcError>(std::move(*static_cast<Resp*>(resp))));
-      } else {
-        cb(Expected<Resp, RpcError>(Unexpected{err}));
-      }
-    };
-    index_[index_key(p.resp_tag, p.key)].push_back(id);
-    calls_.emplace(id, std::move(p));
+    calls_.push_back(PendingCall{
+        id, Resp::kTag, req.correlation_key(),
+        [cb = std::forward<F>(cb)](void* resp, RpcError err) mutable {
+          if (resp) {
+            cb(Expected<Resp, RpcError>(std::move(*static_cast<Resp*>(resp))));
+          } else {
+            cb(Expected<Resp, RpcError>(Unexpected{err}));
+          }
+        }});
     if (ChannelMetrics* mm = config_.metrics) {
       if (mm->calls) mm->calls->inc();
       ++mm->inflight_now;
@@ -576,8 +570,10 @@ class Channel {
  private:
   struct PendingCall {
     CallId id = 0;
-    const char* resp_tag = "";
+    std::string_view resp_tag;
     std::string key;
+    /// The caller's callback itself; a `[this, id]` closure fits
+    /// std::function's local buffer, so issuing it allocates nothing.
     std::function<void(void*, RpcError)> complete;
   };
 
@@ -663,12 +659,15 @@ class Channel {
     if (!find_tag(M::kTag)) install_sync<M>(nullptr);
   }
 
-  static std::string index_key(std::string_view tag, std::string_view key);
   TagEntry* route(std::string_view tag);       // find-or-insert
   TagEntry* find_tag(std::string_view tag);    // nullptr if absent
-  bool try_complete(const char* resp_tag, const std::string& key, void* resp);
-  void finish_call(CallId id, void* resp, RpcError err);
-  void unlink_index(const PendingCall& p);
+  /// The oldest pending call awaiting (resp_tag, key), or calls_.end().
+  std::vector<PendingCall>::const_iterator find_call(
+      std::string_view resp_tag, std::string_view key) const;
+  bool try_complete(std::string_view resp_tag, std::string_view key,
+                    void* resp);
+  /// Removes the pending call at `pos` and invokes its callback.
+  void finish_call(std::size_t pos, void* resp, RpcError err);
   /// Routes one inbound frame; returns the async handler's task, if any,
   /// for the receive loop to co_await.
   std::optional<sim::Task<void>> dispatch(Message&& m);
@@ -680,10 +679,11 @@ class Channel {
   sim::Engine* engine_;
   SocketPtr sock_;
   Config config_;
-  /// Ordered by id == issue order, so fail_all drains FIFO.
-  std::map<CallId, PendingCall> calls_;
-  /// (resp_tag NUL key) -> pending ids, FIFO per key.
-  std::map<std::string, std::deque<CallId>, std::less<>> index_;
+  /// Pending calls in issue order. A reply completes the first call with
+  /// its (resp_tag, key), which makes same-key calls resolve FIFO, and
+  /// fail_all drains front to back. A channel holds 0-2 pending calls, so
+  /// a scan beats any index.
+  std::vector<PendingCall> calls_;
   /// Small linear table: a handful of verbs per endpoint, and a vector
   /// scan beats a node-based map at 10^5 channels (one per worker).
   std::vector<TagEntry> tags_;

@@ -111,58 +111,94 @@ sim::Task<void> Machine::run_process(NodeId node, sim::Task<void> body,
 
 Machine::Pid Machine::exec(NodeId node, std::string name, sim::Task<void> body,
                            ExecOptions opts) {
-  const Pid pid = next_pid_++;
-  sim::ActorId actor = engine_->spawn(
-      std::move(name), run_process(node, std::move(body), std::move(opts)));
-  processes_[pid] = actor;
-  pid_by_actor_[actor] = pid;
   // fork semantics: if exec() was called from inside another simulated
   // process, the new process joins its tree (kill takes the whole subtree).
-  if (sim::ActorId caller = engine_->running_actor(); caller != 0) {
-    auto parent = pid_by_actor_.find(caller);
-    if (parent != pid_by_actor_.end()) {
-      children_[parent->second].push_back(pid);
-    }
+  // The running actor's spawn tag is its pid; the actor check rejects a tag
+  // some other owner of the engine gave its actor.
+  Pid parent = engine_->running_tag();
+  if (const Process* up = procs_.find(parent);
+      !up || up->actor != engine_->running_actor()) {
+    parent = 0;
   }
-  // Reap the table entry when the process ends (whatever the cause).
+  const Pid pid = procs_.insert(Process{});
+  const sim::ActorId actor = engine_->spawn(
+      std::move(name), run_process(node, std::move(body), std::move(opts)),
+      pid);
+  Process& p = *procs_.find(pid);
+  p.actor = actor;
+  if (parent != 0) {
+    Process& up = *procs_.find(parent);
+    p.parent = parent;
+    p.prev_sibling = up.last_child;
+    if (up.last_child != 0) {
+      procs_.find(up.last_child)->next_sibling = pid;
+    } else {
+      up.first_child = pid;
+    }
+    up.last_child = pid;
+  }
+  // Free the table entry when the process ends (whatever the cause).
   engine_->spawn("reaper", [](Machine* m, Pid pid, sim::ActorId actor) -> sim::Task<void> {
     co_await m->engine_->join(actor);
-    m->processes_.erase(pid);
-    m->pid_by_actor_.erase(actor);
-    m->children_.erase(pid);
+    m->release(pid);
   }(this, pid, actor));
   return pid;
 }
 
-bool Machine::kill(Pid pid) {
-  auto it = processes_.find(pid);
-  if (it == processes_.end()) return false;
-  // Take down the subtree first (ZeptoOS-like: the pilot script's children
-  // die with it). Copy the child list: kills mutate the map.
-  if (auto kids = children_.find(pid); kids != children_.end()) {
-    const std::vector<Pid> copy = kids->second;
-    for (Pid child : copy) kill(child);
+void Machine::release(Pid pid) {
+  Process* p = procs_.find(pid);
+  if (!p) return;
+  if (p->parent != 0) {
+    Process& up = *procs_.find(p->parent);
+    if (p->prev_sibling != 0) {
+      procs_.find(p->prev_sibling)->next_sibling = p->next_sibling;
+    } else {
+      up.first_child = p->next_sibling;
+    }
+    if (p->next_sibling != 0) {
+      procs_.find(p->next_sibling)->prev_sibling = p->prev_sibling;
+    } else {
+      up.last_child = p->prev_sibling;
+    }
   }
-  it = processes_.find(pid);
-  if (it == processes_.end()) return true;  // reaped during child kills
-  const sim::ActorId actor = it->second;
-  processes_.erase(it);
-  pid_by_actor_.erase(actor);
-  children_.erase(pid);
+  for (Pid child = p->first_child; child != 0;) {
+    Process& c = *procs_.find(child);
+    child = c.next_sibling;
+    c.parent = c.prev_sibling = c.next_sibling = 0;
+  }
+  procs_.erase(pid);
+}
+
+bool Machine::kill(Pid pid) {
+  const Process* p = procs_.find(pid);
+  if (!p) return false;
+  // Take down the subtree first, oldest child first (ZeptoOS-like: the
+  // pilot script's children die with it). Snapshot the list: a dying
+  // frame may exec or kill, and only the children it has now are this
+  // kill's.
+  if (p->first_child != 0) {
+    std::vector<Pid> kids;
+    for (Pid c = p->first_child; c != 0; c = procs_.find(c)->next_sibling) {
+      kids.push_back(c);
+    }
+    for (Pid child : kids) kill(child);
+    p = procs_.find(pid);
+    if (!p) return true;  // reaped during child kills
+  }
+  const sim::ActorId actor = p->actor;
+  release(pid);
   return engine_->kill(actor);
 }
 
 bool Machine::alive(Pid pid) const {
-  auto it = processes_.find(pid);
-  return it != processes_.end() && engine_->is_live(it->second);
+  const Process* p = procs_.find(pid);
+  return p != nullptr && engine_->is_live(p->actor);
 }
 
-std::size_t Machine::process_count() const { return processes_.size(); }
-
 sim::Task<void> Machine::wait(Pid pid) {
-  auto it = processes_.find(pid);
-  if (it == processes_.end()) co_return;
-  co_await engine_->join(it->second);
+  const Process* p = procs_.find(pid);
+  if (!p) co_return;
+  co_await engine_->join(p->actor);
 }
 
 // --- BatchScheduler --------------------------------------------------------------

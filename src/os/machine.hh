@@ -21,7 +21,6 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/fabric.hh"
@@ -30,6 +29,7 @@
 #include "os/filesystem.hh"
 #include "sim/engine.hh"
 #include "sim/random.hh"
+#include "sim/slot_map.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
 
@@ -130,6 +130,10 @@ struct ExecOptions {
 
 class Machine {
  public:
+  /// Generation-checked handle into the process slab (sim::SlotMap): never
+  /// 0, and a pid whose process has ended fails closed even after a later
+  /// exec reuses its slot. Pids are handles, not numbers: they carry no
+  /// order and are never printed.
   using Pid = std::uint64_t;
 
   Machine(sim::Engine& engine, MachineSpec spec);
@@ -202,7 +206,7 @@ class Machine {
   bool kill(Pid pid);
 
   bool alive(Pid pid) const;
-  std::size_t process_count() const;
+  std::size_t process_count() const { return procs_.size(); }
 
   /// Awaitable completion of a process (like waitpid).
   sim::Task<void> wait(Pid pid);
@@ -212,8 +216,23 @@ class Machine {
   sim::Task<void> load_binary(NodeId node, const std::string& binary);
 
  private:
+  /// One process-table record. A process's children form an intrusive
+  /// doubly linked list in exec order (first_child .. last_child), so a
+  /// finished child unlinks in O(1) and kill() walks only live children.
+  struct Process {
+    sim::ActorId actor = 0;
+    Pid parent = 0;
+    Pid first_child = 0;
+    Pid last_child = 0;
+    Pid prev_sibling = 0;
+    Pid next_sibling = 0;
+  };
+
   sim::Task<void> run_process(NodeId node, sim::Task<void> body,
                               ExecOptions opts);
+  /// Frees `pid`'s record: unlinks it from its parent and orphans its
+  /// children (they live on, outside any tree). No-op on a stale pid.
+  void release(Pid pid);
 
   sim::Engine* engine_;
   MachineSpec spec_;
@@ -221,11 +240,9 @@ class Machine {
   SharedFs shared_fs_;
   std::vector<std::unique_ptr<Node>> nodes_;
   obs::Tracer* tracer_ = nullptr;
-  Pid next_pid_ = 1;
   net::Port next_port_ = 10000;
-  std::unordered_map<Pid, sim::ActorId> processes_;
-  std::unordered_map<sim::ActorId, Pid> pid_by_actor_;
-  std::unordered_map<Pid, std::vector<Pid>> children_;
+  /// Live processes: exec() inserts, the reaper or kill() releases.
+  sim::SlotMap<Process> procs_;
 };
 
 /// Typed failure taxonomy for allocation requests. Distinct from the

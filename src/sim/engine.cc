@@ -6,9 +6,9 @@
 
 namespace jets::sim {
 
-void engine_actor_finished(Engine& engine, std::uint64_t actor_id,
-                           std::exception_ptr error) {
-  engine.finished_.emplace_back(actor_id, std::move(error));
+void engine_actor_finished(const ActorContext& ctx, std::exception_ptr error) {
+  ctx.engine->finished_.push_back(
+      Engine::Finished{ctx.slot, ctx.gen, std::move(error)});
 }
 
 Engine::~Engine() { shutdown(); }
@@ -130,34 +130,27 @@ std::uint32_t Engine::alloc_actor_slot() {
   return slot;
 }
 
-ActorId Engine::spawn(std::string name, Task<void> body) {
+ActorId Engine::spawn(std::string name, Task<void> body, std::uint64_t tag) {
   if (!body.valid()) throw std::invalid_argument("spawn: empty task");
-  const ActorId id = next_actor_id_++;
   const std::uint32_t slot = alloc_actor_slot();
   ActorSlot& as = actor_slots_[slot];
-  Actor& actor = as.actor.emplace();
-  actor.id = id;
-  actor.name = std::move(name);
-  actor.ctx = std::make_unique<ActorContext>();
-  actor.ctx->engine = this;
-  actor.ctx->id = id;
-  actor.ctx->name = actor.name;
-  actor.ctx->slot = slot;
-  actor.ctx->gen = as.gen;
-  actor.root = body.release();
-  actor.root.promise().set_context(actor.ctx.get());
-  schedule(now_, Resumption::of(actor.root, actor.ctx.get()));
+  const ActorId id = (static_cast<ActorId>(as.gen) << 32) | slot;
+  as.serial = next_serial_++;
+  as.name = std::move(name);
+  as.ctx = ActorContext{this, id, tag, slot, as.gen};
+  as.root = body.release();
+  as.root.promise().set_context(&as.ctx);
+  ++live_actors_;
+  schedule(now_, Resumption::of(as.root, &as.ctx));
   for (std::size_t i = 0; i < observers_.size(); ++i) {
-    observers_[i]->on_spawn(now_, id, actor.name);
+    observers_[i]->on_spawn(now_, id, as.name);
   }
-  id_to_slot_.emplace(id, slot);
   return id;
 }
 
 bool Engine::kill(ActorId id) {
-  auto it = id_to_slot_.find(id);
-  if (it == id_to_slot_.end()) return false;
-  if (running_actor_ == id) {
+  if (!is_live(id)) return false;
+  if (running_ && running_->id == id) {
     // Cannot destroy the frame we are currently executing inside; reap
     // after the current dispatch unwinds. The generation bump happens at
     // destruction, before any later event could be dispatched, so events
@@ -165,63 +158,59 @@ bool Engine::kill(ActorId id) {
     deferred_kills_.push_back(id);
     return true;
   }
-  destroy_actor_slot(it->second, nullptr);
+  destroy_actor_slot(slot_of(id), nullptr);
   return true;
 }
 
-const std::string* Engine::actor_name(ActorId id) const {
-  auto it = id_to_slot_.find(id);
-  return it == id_to_slot_.end() ? nullptr
-                                 : &actor_slots_[it->second].actor->name;
-}
-
 void Engine::add_joiner(ActorId id, Resumption r) {
-  actor_slots_[id_to_slot_.at(id)].actor->joiners.push_back(std::move(r));
+  if (!is_live(id)) throw std::out_of_range("add_joiner: actor not live");
+  actor_slots_[slot_of(id)].joiners.push_back(r);
 }
 
 void Engine::reap_finished_and_killed() {
   while (!finished_.empty() || !deferred_kills_.empty()) {
     if (!finished_.empty()) {
-      auto [id, error] = std::move(finished_.back());
+      Finished f = std::move(finished_.back());
       finished_.pop_back();
-      auto it = id_to_slot_.find(id);
-      if (it != id_to_slot_.end()) destroy_actor_slot(it->second, std::move(error));
+      if (actor_slot_live(f.slot, f.gen)) {
+        destroy_actor_slot(f.slot, std::move(f.error));
+      }
     } else {
-      ActorId id = deferred_kills_.back();
+      const ActorId id = deferred_kills_.back();
       deferred_kills_.pop_back();
-      auto it = id_to_slot_.find(id);
-      if (it != id_to_slot_.end()) destroy_actor_slot(it->second, nullptr);
+      if (is_live(id)) destroy_actor_slot(slot_of(id), nullptr);
     }
   }
 }
 
 void Engine::destroy_actor_slot(std::uint32_t slot, std::exception_ptr error) {
+  // Slab references are stable (deque), and this slot stays off the free
+  // list until its frames are gone: their destructors may spawn, and must
+  // not be handed the slot they are still running in.
   ActorSlot& as = actor_slots_[slot];
-  Actor actor = std::move(*as.actor);
-  as.actor.reset();
-  ++as.gen;  // expire every pending resumption for this actor at once
-  as.next_free = free_actors_;
-  free_actors_ = slot;
-  id_to_slot_.erase(actor.id);
+  const Task<void>::Handle root = std::exchange(as.root, nullptr);
+  if (++as.gen == 0) as.gen = 1;  // expire every pending resumption at once
+  --live_actors_;
   if (!in_shutdown_) {
     // Finished actors arrive via the finished_ list; everything else
     // reaching here directly is a kill.
-    const bool finished = actor.root && actor.root.done();
+    const bool finished = root && root.done();
     for (std::size_t i = 0; i < observers_.size(); ++i) {
       if (finished) {
-        observers_[i]->on_finish(now_, actor.id, actor.name);
+        observers_[i]->on_finish(now_, as.ctx.id, as.name);
       } else {
-        observers_[i]->on_kill(now_, actor.id, actor.name);
+        observers_[i]->on_kill(now_, as.ctx.id, as.name);
       }
     }
   }
   if (error) unhandled_errors_.push_back(error);
   if (!in_shutdown_) {
-    for (Resumption& r : actor.joiners) {
-      schedule(now_, std::move(r));
-    }
+    for (Resumption& r : as.joiners) schedule(now_, r);
   }
-  if (actor.root) actor.root.destroy();
+  as.joiners.clear();
+  if (root) root.destroy();
+  as.next_free = free_actors_;
+  free_actors_ = slot;
 }
 
 // --- Run loop ----------------------------------------------------------
@@ -233,12 +222,11 @@ void Engine::dispatch(std::uint32_t slot) {
     // coroutine may schedule, cancel, or trigger a compaction (all of which
     // may touch or even reallocate the slab).
     const std::coroutine_handle<> h = r->handle;
-    const ActorContext* ctx = r->ctx;
+    running_ = r->ctx;
     free_event_slot(slot);
     ++events_executed_;
-    running_actor_ = ctx->id;
     h.resume();
-    running_actor_ = 0;
+    running_ = nullptr;
   } else {
     Callback fn = std::move(std::get<Callback>(s.payload));
     free_event_slot(slot);
@@ -294,16 +282,17 @@ void Engine::check_failures() {
 
 void Engine::shutdown() {
   in_shutdown_ = true;
-  // Destroy live actors in a defined order (ascending id) so coroutine-frame
-  // destructors (which may close sockets etc.) run deterministically.
-  std::vector<ActorId> ids;
-  ids.reserve(id_to_slot_.size());
-  for (const auto& [id, _] : id_to_slot_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (ActorId id : ids) {
-    auto it = id_to_slot_.find(id);
-    if (it == id_to_slot_.end()) continue;
-    destroy_actor_slot(it->second, nullptr);
+  // Destroy live actors in a defined order (spawn order) so coroutine-frame
+  // destructors (which may close sockets etc.) run deterministically. Only
+  // the actors live now: one a destructor spawns survives this pass.
+  std::vector<std::pair<std::uint64_t, ActorId>> live;
+  live.reserve(live_actors_);
+  for (const ActorSlot& as : actor_slots_) {
+    if (as.root) live.emplace_back(as.serial, as.ctx.id);
+  }
+  std::sort(live.begin(), live.end());
+  for (const auto& [serial, id] : live) {
+    if (is_live(id)) destroy_actor_slot(slot_of(id), nullptr);
   }
   // Drop all pending events. Slots are freed (closures destroyed) but the
   // slab itself is kept, so generations persist and a late TimerHandle

@@ -31,12 +31,11 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <new>
 #include <optional>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -46,7 +45,11 @@
 
 namespace jets::sim {
 
-/// Identifier of a spawned actor (a root coroutine plus its context).
+/// Handle of a spawned actor (a root coroutine plus its context):
+/// (generation << 32) | slot into the engine's actor slab. Generations
+/// start at 1, so no handle is 0 ("none"). A slot's generation moves on
+/// when its actor ends, so a handle to an ended actor fails closed even
+/// after a later spawn reuses the slot.
 using ActorId = std::uint64_t;
 
 /// Observer for actor lifecycle events (see sim/trace.hh for a recorder).
@@ -199,7 +202,10 @@ class Engine {
 
   /// Starts `body` as a new independent actor. The first resumption is
   /// queued at the current time; the returned id can be joined or killed.
-  ActorId spawn(std::string name, Task<void> body);
+  /// `tag` is one word the engine carries for the actor's owner and hands
+  /// back through running_tag() while the actor runs (os::Machine stores
+  /// the process's pid there); 0 means untagged.
+  ActorId spawn(std::string name, Task<void> body, std::uint64_t tag = 0);
 
   /// Destroys a live actor's coroutine chain and cancels its pending
   /// events. Safe to call from within any actor (including itself; the
@@ -207,14 +213,23 @@ class Engine {
   /// Returns false if the actor is unknown or already finished.
   bool kill(ActorId id);
 
-  bool is_live(ActorId id) const { return id_to_slot_.contains(id); }
-  std::size_t live_actor_count() const { return id_to_slot_.size(); }
-  const std::string* actor_name(ActorId id) const;
+  bool is_live(ActorId id) const { return live_slot(id) != nullptr; }
+  std::size_t live_actor_count() const noexcept { return live_actors_; }
+  const std::string* actor_name(ActorId id) const {
+    const ActorSlot* as = live_slot(id);
+    return as ? &as->name : nullptr;
+  }
 
-  /// The actor currently being resumed (0 outside a resume step). Lets
-  /// higher layers attribute side effects (e.g. process parentage) to the
-  /// acting simulated process.
-  ActorId running_actor() const noexcept { return running_actor_; }
+  /// The actor currently being resumed (0 outside a resume step).
+  ActorId running_actor() const noexcept {
+    return running_ ? running_->id : 0;
+  }
+  /// The running actor's spawn tag (0 outside a resume step or if
+  /// untagged). Lets higher layers attribute side effects (e.g. process
+  /// parentage) to the acting simulated process without a lookup.
+  std::uint64_t running_tag() const noexcept {
+    return running_ ? running_->tag : 0;
+  }
 
   /// Awaitable that completes when the given actor finishes or is killed.
   /// An uncaught exception in any actor is reported by check_failures()
@@ -253,7 +268,7 @@ class Engine {
   /// first such exception. run()/run_until() call this automatically.
   void check_failures();
 
-  /// Destroys every live actor (in ascending id order) and drops all
+  /// Destroys every live actor (in spawn order) and drops all
   /// pending events. Higher layers whose objects are referenced from actor
   /// frames (e.g. a Machine's network) call this from their destructors so
   /// frame teardown runs while those objects are still alive.
@@ -308,28 +323,50 @@ class Engine {
   }
 
  private:
-  friend void engine_actor_finished(Engine&, std::uint64_t, std::exception_ptr);
+  friend void engine_actor_finished(const ActorContext&, std::exception_ptr);
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   /// Compact once at least this many known-dead entries have accumulated
   /// *and* they are at least half the heap.
   static constexpr std::size_t kCompactMin = 64;
 
-  struct Actor {
-    ActorId id = 0;
-    std::string name;
+  /// Slab cell for actors, recycled through a free list. `gen` is bumped
+  /// when the occupant is destroyed, which atomically expires every
+  /// Resumption and ActorId minted for it. The context lives here (the
+  /// slab is a deque, so its address is stable) and every frame of the
+  /// actor points at it. A slot is occupied while `root` is set.
+  struct ActorSlot {
+    std::uint32_t gen = 1;
+    std::uint32_t next_free = kNoSlot;
+    /// Spawn order, for shutdown()'s deterministic teardown.
+    std::uint64_t serial = 0;
     Task<void>::Handle root;
-    std::unique_ptr<ActorContext> ctx;
+    ActorContext ctx;
+    std::string name;
     std::vector<Resumption> joiners;
   };
 
-  /// Slab cell for actors. `gen` is bumped when the occupant is destroyed,
-  /// which atomically expires every Resumption created for it.
-  struct ActorSlot {
+  /// A root that completed during the current dispatch, with the error
+  /// (if any) its body ended with.
+  struct Finished {
+    std::uint32_t slot = 0;
     std::uint32_t gen = 0;
-    std::uint32_t next_free = kNoSlot;
-    std::optional<Actor> actor;
+    std::exception_ptr error;
   };
+
+  static constexpr std::uint32_t slot_of(ActorId id) {
+    return static_cast<std::uint32_t>(id);
+  }
+  static constexpr std::uint32_t gen_of(ActorId id) {
+    return static_cast<std::uint32_t>(id >> 32);
+  }
+  /// The occupied slot `id` names, or nullptr for a stale or foreign id.
+  const ActorSlot* live_slot(ActorId id) const {
+    const std::uint32_t slot = slot_of(id);
+    if (slot >= actor_slots_.size()) return nullptr;
+    const ActorSlot& as = actor_slots_[slot];
+    return as.gen == gen_of(id) && as.root ? &as : nullptr;
+  }
 
   /// Slab cell for events: free (monostate), a coroutine resumption, or a
   /// callback. The variant overlays the two payloads, keeping a cell at 80
@@ -391,8 +428,9 @@ class Engine {
   Time now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t events_executed_ = 0;
-  ActorId next_actor_id_ = 1;
-  ActorId running_actor_ = 0;  // 0 = none
+  std::uint64_t next_serial_ = 1;
+  std::size_t live_actors_ = 0;
+  const ActorContext* running_ = nullptr;  // nullptr = no resume step
 
   // Event core: index heap over the slab.
   std::vector<HeapEntry> heap_;
@@ -405,14 +443,13 @@ class Engine {
   std::uint64_t cancelled_events_ = 0;
   std::uint64_t compactions_ = 0;
 
-  // Actor slab + public-id index (ids are never reused).
-  std::vector<ActorSlot> actor_slots_;
+  // Actor slab; ActorIds address it directly.
+  std::deque<ActorSlot> actor_slots_;
   std::uint32_t free_actors_ = kNoSlot;
-  std::unordered_map<ActorId, std::uint32_t> id_to_slot_;
 
-  // Actors whose root completed during the current dispatch, plus the error
-  // (if any) their body ended with; reaped after the dispatch unwinds.
-  std::vector<std::pair<ActorId, std::exception_ptr>> finished_;
+  // Roots that completed during the current dispatch; reaped after the
+  // dispatch unwinds.
+  std::vector<Finished> finished_;
   std::vector<ActorId> deferred_kills_;
   std::vector<std::exception_ptr> unhandled_errors_;
   // Registered lifecycle observers, notified in registration order. Index

@@ -13,7 +13,6 @@
 #include <exception>
 #include <memory>
 #include <optional>
-#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -21,21 +20,25 @@ namespace jets::sim {
 
 class Engine;
 
+struct ActorContext;
+
 /// Out-of-line hook (defined in engine.cc) through which a completed *root*
 /// task notifies its engine; avoids a circular include with engine.hh.
-void engine_actor_finished(Engine& engine, std::uint64_t actor_id,
-                           std::exception_ptr error);
+void engine_actor_finished(const ActorContext& ctx, std::exception_ptr error);
 
 /// Per-actor bookkeeping shared by every coroutine frame the actor runs.
+/// It lives inside the actor's engine slot, so it is never allocated.
 ///
 /// `slot`/`gen` identify the actor's slab slot in the engine: events queued
 /// for this actor carry a copy of both and are skipped once the slot's
 /// generation moves on (the actor was killed or finished). This replaces a
 /// per-resumption `weak_ptr` cancellation token with a plain epoch compare.
+/// `id` is the same pair as one handle, (gen << 32) | slot. `tag` is the
+/// word the spawner attached for the actor's owner (see Engine::spawn).
 struct ActorContext {
   Engine* engine = nullptr;
   std::uint64_t id = 0;
-  std::string name;
+  std::uint64_t tag = 0;
   std::uint32_t slot = 0;
   std::uint32_t gen = 0;
 };
@@ -69,7 +72,7 @@ struct FinalAwaiter {
     PromiseBase& p = h.promise();
     if (auto cont = p.continuation()) return cont;
     if (ActorContext* ctx = p.context()) {
-      engine_actor_finished(*ctx->engine, ctx->id, p.error);
+      engine_actor_finished(*ctx, p.error);
     }
     return std::noop_coroutine();
   }

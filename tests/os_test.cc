@@ -219,6 +219,99 @@ TEST_F(MachineTest, KillTerminatesProcess) {
   EXPECT_EQ(machine.process_count(), 0u);
 }
 
+TEST_F(MachineTest, StalePidFailsClosedAfterSlotReuse) {
+  const Machine::Pid ended = machine.exec(0, "short", []() -> Task<void> {
+    co_return;
+  }());
+  engine.run();
+  ASSERT_FALSE(machine.alive(ended));
+
+  // The process slab hands the slot straight back, under a new generation.
+  bool tenant_done = false;
+  const Machine::Pid tenant = machine.exec(0, "tenant", [](bool& done) -> Task<void> {
+    co_await sim::delay(sim::seconds(10));
+    done = true;
+  }(tenant_done));
+  ASSERT_EQ(tenant & 0xffffffffu, ended & 0xffffffffu);
+  ASSERT_NE(tenant, ended);
+
+  EXPECT_FALSE(machine.alive(ended));
+  EXPECT_FALSE(machine.kill(ended));
+  EXPECT_TRUE(machine.alive(tenant));
+  EXPECT_EQ(machine.process_count(), 1u);
+
+  // Waiting on the stale pid returns at once, not when the tenant exits.
+  const Time start = engine.now();
+  Time waited = -1;
+  engine.spawn("waiter", [](Engine& e, Machine& m, Machine::Pid pid,
+                            Time& waited) -> Task<void> {
+    co_await m.wait(pid);
+    waited = e.now();
+  }(engine, machine, ended, waited));
+  engine.run();
+  EXPECT_EQ(waited, start);
+  EXPECT_TRUE(tenant_done);
+  EXPECT_EQ(machine.process_count(), 0u);
+}
+
+TEST_F(MachineTest, FinishedChildrenLeaveTheTreeAndKillTakesTheLiveOne) {
+  const std::size_t baseline = machine.process_count();
+  bool long_child_done = false;
+  Machine::Pid long_child = 0;
+  const Machine::Pid parent = machine.exec(
+      0, "pilot",
+      [](Machine& m, bool& done, Machine::Pid& long_child) -> Task<void> {
+        for (int i = 0; i < 1000; ++i) {
+          // Not one expression: a GCC 12 bug duplicates the defaulted
+          // ExecOptions aggregate temporary if it lives across the co_await.
+          const Machine::Pid pid =
+              m.exec(0, "task", []() -> Task<void> { co_return; }());
+          co_await m.wait(pid);
+        }
+        long_child = m.exec(0, "long", [](bool& done) -> Task<void> {
+          co_await sim::delay(sim::seconds(1000));
+          done = true;
+        }(done));
+        co_await sim::delay(sim::seconds(2000));
+      }(machine, long_child_done, long_child));
+  std::size_t before_kill = 0;
+  engine.call_at(sim::seconds(500), [&] {
+    before_kill = machine.process_count();
+    EXPECT_TRUE(machine.kill(parent));
+  });
+  engine.run();
+  // Only the pilot and its live child were in the table at the kill.
+  EXPECT_EQ(before_kill, baseline + 2);
+  ASSERT_NE(long_child, 0u);
+  EXPECT_FALSE(long_child_done);
+  EXPECT_FALSE(machine.alive(long_child));
+  EXPECT_FALSE(machine.alive(parent));
+  EXPECT_EQ(machine.process_count(), baseline);
+}
+
+TEST_F(MachineTest, ChildOfAFinishedParentOutlivesTheParentsKill) {
+  // Once a parent's record is reaped its children are orphans: a stale
+  // kill of the parent reaches none of them.
+  bool child_done = false;
+  Machine::Pid child = 0;
+  const Machine::Pid parent = machine.exec(
+      0, "parent", [](Machine& m, bool& done, Machine::Pid& child) -> Task<void> {
+        child = m.exec(0, "child", [](bool& done) -> Task<void> {
+          co_await sim::delay(sim::seconds(100));
+          done = true;
+        }(done));
+        co_return;
+      }(machine, child_done, child));
+  engine.call_at(sim::seconds(50), [&] {
+    EXPECT_FALSE(machine.alive(parent));
+    EXPECT_FALSE(machine.kill(parent));
+    EXPECT_TRUE(machine.alive(child));
+  });
+  engine.run();
+  EXPECT_TRUE(child_done);
+  EXPECT_EQ(machine.process_count(), 0u);
+}
+
 TEST(BatchSchedulerTest, AllocationLifecycle) {
   Engine engine;
   Machine machine(engine, Machine::breadboard(16));

@@ -28,11 +28,15 @@
 //      proxy leave without ranks, and a bad mpi.hello is dropped.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/synthetic.hh"
@@ -775,6 +779,179 @@ TEST_F(RpcChannelTest, NotifyReachesPeerAndCounts) {
   EXPECT_EQ(got, (std::vector<std::string>{"ready", "done"}));
   EXPECT_EQ(count("jets.rpc.notifies"), 2u);
   EXPECT_EQ(count("jets.rpc.calls"), 0u);
+}
+
+// --- Pending-call table vs a reference model -------------------------------
+//
+// Random scripts of calls with colliding keys, matching, orphan, wrong-tag
+// and malformed replies, fail_responses and fail_all, run against the
+// channel and against the map + per-key deque design the flat table
+// replaced. Completion order, results and every ChannelMetrics counter must
+// agree: the table must complete the *oldest* call per (tag, key) and
+// drain in issue order.
+
+/// The reference: calls ordered by issue, a FIFO of call numbers per
+/// (response tag, key), and the counters ChannelMetrics keeps.
+struct PendingModel {
+  struct Call {
+    std::string tag;
+    std::string key;
+  };
+  std::map<int, Call> calls;
+  std::map<std::pair<std::string, std::string>, std::deque<int>> index;
+  std::set<std::string> routed;  // response tags with a route installed
+  std::vector<std::string> log;
+  std::map<std::string, std::uint64_t> counters;
+  std::int64_t inflight = 0;
+
+  void issue(int n, const std::string& tag, const std::string& key) {
+    calls.emplace(n, Call{tag, key});
+    index[{tag, key}].push_back(n);
+    routed.insert(tag);
+    ++counters["jets.rpc.calls"];
+    ++inflight;
+  }
+  void finish(int n, const std::string& outcome) {
+    const Call c = calls.at(n);
+    calls.erase(n);
+    auto& q = index[{c.tag, c.key}];
+    q.erase(std::find(q.begin(), q.end(), n));
+    --inflight;
+    log.push_back("#" + std::to_string(n) + " " + outcome);
+  }
+  void reply(const std::string& tag, const std::string& key,
+             const std::string& payload, bool malformed) {
+    if (!routed.contains(tag)) {
+      ++counters["jets.rpc.unknown_tags"];
+    } else if (malformed) {
+      ++counters["jets.rpc.decode_errors"];
+    } else if (auto& q = index[{tag, key}]; !q.empty()) {
+      ++counters["jets.rpc.completed"];
+      finish(q.front(), "ok " + payload);
+    } else {
+      ++counters["jets.rpc.orphans"];
+    }
+  }
+  void fail(const std::string* tag, RpcError err) {
+    std::vector<int> doomed;
+    for (const auto& [n, c] : calls) {
+      if (!tag || c.tag == *tag) doomed.push_back(n);
+    }
+    for (int n : doomed) {
+      ++counters[err == RpcError::kPeerClosed ? "jets.rpc.peer_closed"
+                                               : "jets.rpc.cancelled"];
+      finish(n, std::string("err ") + to_string(err));
+    }
+  }
+};
+
+TEST(RpcPendingCalls, MatchAMapAndDequeReferenceModel) {
+  constexpr int kScripts = 300;
+  constexpr int kOps = 60;
+  const char* const kCounters[] = {
+      "jets.rpc.calls",       "jets.rpc.completed",     "jets.rpc.peer_closed",
+      "jets.rpc.cancelled",   "jets.rpc.orphans",       "jets.rpc.decode_errors",
+      "jets.rpc.unknown_tags"};
+  for (int script = 0; script < kScripts; ++script) {
+    SCOPED_TRACE("script " + std::to_string(script));
+    std::mt19937_64 rng(static_cast<std::uint64_t>(script) + 1);
+    auto pick = [&rng](int n) {
+      return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+    };
+    Engine engine;
+    Network net(engine, std::make_shared<EthernetFabric>());
+    auto listener = net.listen({1, 7000});
+    SocketPtr server;
+    SocketPtr client;
+    engine.spawn("accept", [](Listener& l, SocketPtr& out) -> Task<void> {
+      out = co_await l.accept();
+    }(*listener, server));
+    engine.spawn("connect", [](Network& n, SocketPtr& out) -> Task<void> {
+      out = co_await n.connect(0, {1, 7000});
+    }(net, client));
+    engine.run();
+    ASSERT_TRUE(server && client);
+
+    obs::MetricsRegistry reg;
+    ChannelMetrics metrics = ChannelMetrics::bind(reg);
+    Channel::Config cfg;
+    cfg.metrics = &metrics;
+    Channel chan(engine, client, cfg);
+    engine.spawn("serve", chan.serve());
+    engine.run();
+
+    PendingModel model;
+    std::vector<std::string> log;
+    int calls = 0;
+    int replies = 0;
+    const std::string keys[] = {"a", "b", "c"};
+    for (int op = 0; op < kOps; ++op) {
+      const std::string& key = keys[pick(3)];
+      const int roll = pick(20);
+      if (roll < 5) {  // call, run/done verbs
+        const int n = ++calls;
+        ASSERT_TRUE(chan.call_cb(TaskRun(key, {"app"}),
+                                 [n, &log](Expected<TaskDone, RpcError> r) {
+                                   log.push_back(
+                                       "#" + std::to_string(n) +
+                                       (r.ok() ? " ok " + std::to_string(
+                                                              r.value().status)
+                                               : std::string(" err ") +
+                                                     to_string(r.error())));
+                                 })
+                        .ok());
+        model.issue(n, TaskDone::kTag, key);
+      } else if (roll < 8) {  // call, PMI get/value verbs
+        const int n = ++calls;
+        ASSERT_TRUE(chan.call_cb(PmiGet(key),
+                                 [n, &log](Expected<PmiValue, RpcError> r) {
+                                   log.push_back(
+                                       "#" + std::to_string(n) +
+                                       (r.ok() ? " ok " + r.value().value
+                                               : std::string(" err ") +
+                                                     to_string(r.error())));
+                                 })
+                        .ok());
+        model.issue(n, PmiValue::kTag, key);
+      } else if (roll < 12) {  // done reply: matching or orphan
+        const int serial = ++replies;
+        server->send(TaskDone(key, serial, TaskDone::Reason::kApp).encode());
+        model.reply(TaskDone::kTag, key, std::to_string(serial), false);
+      } else if (roll < 15) {  // value reply: wrong tag for a run call
+        const int serial = ++replies;
+        server->send(PmiValue(key, std::to_string(serial)).encode());
+        model.reply(PmiValue::kTag, key, std::to_string(serial), false);
+      } else if (roll < 16) {  // a reply verb no call ever routed
+        server->send(StageAck(key).encode());
+        model.reply(StageAck::kTag, key, "", false);
+      } else if (roll < 17) {  // malformed done
+        server->send(Message(TaskDone::kTag, {key}));
+        model.reply(TaskDone::kTag, key, "", true);
+      } else if (roll < 19) {  // write off one verb's calls
+        const std::string tag = pick(2) == 0 ? TaskDone::kTag : PmiValue::kTag;
+        const RpcError err =
+            pick(2) == 0 ? RpcError::kCancelled : RpcError::kPeerClosed;
+        chan.fail_responses(tag, err);
+        model.fail(&tag, err);
+      } else {  // drain everything
+        const RpcError err =
+            pick(2) == 0 ? RpcError::kCancelled : RpcError::kPeerClosed;
+        chan.fail_all(err);
+        model.fail(nullptr, err);
+      }
+      engine.run();  // deliver the reply, if any
+      ASSERT_EQ(chan.in_flight(), model.calls.size()) << "op " << op;
+    }
+    EXPECT_EQ(log, model.log);
+    for (const char* name : kCounters) {
+      EXPECT_EQ(reg.counter_value(name), model.counters[name]) << name;
+    }
+    EXPECT_EQ(metrics.inflight_now, model.inflight);
+    EXPECT_EQ(reg.gauge_value("jets.rpc.inflight"), model.inflight);
+    // Frames first: the serve() frame points at `chan`.
+    engine.shutdown();
+    if (HasFailure()) return;  // one script's report is enough
+  }
 }
 
 }  // namespace

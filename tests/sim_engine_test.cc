@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -371,6 +372,113 @@ TEST(Engine, YieldInterleavesFairly) {
   e.run();
   // Round-robin at time 0: 0 1 0 1 0 1.
   EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 1, 0, 1}));
+}
+
+TEST(Engine, StaleActorHandleFailsClosedAfterSlotReuse) {
+  Engine e;
+  const ActorId finished = e.spawn("finished", []() -> Task<void> {
+    co_return;
+  }());
+  e.run();
+  ASSERT_FALSE(e.is_live(finished));
+
+  // The free list hands the slot straight back, under a new generation.
+  bool tenant_done = false;
+  const ActorId tenant = e.spawn("tenant", [](bool& done) -> Task<void> {
+    co_await delay(seconds(1));
+    done = true;
+  }(tenant_done));
+  ASSERT_EQ(tenant & 0xffffffffu, finished & 0xffffffffu);
+  ASSERT_NE(tenant, finished);
+
+  EXPECT_FALSE(e.is_live(finished));
+  EXPECT_EQ(e.actor_name(finished), nullptr);
+  EXPECT_FALSE(e.kill(finished));
+  ASSERT_TRUE(e.is_live(tenant));
+  EXPECT_EQ(*e.actor_name(tenant), "tenant");
+
+  // Joining the stale handle returns at once, not when the tenant ends.
+  Time joined = -1;
+  e.spawn("joiner", [](Engine& e, ActorId id, Time& joined) -> Task<void> {
+    co_await e.join(id);
+    joined = e.now();
+  }(e, finished, joined));
+  e.run();
+  EXPECT_EQ(joined, 0);
+  EXPECT_TRUE(tenant_done);
+
+  // A killed actor's handle is just as dead once its slot is reused.
+  bool victim_done = false;
+  const ActorId victim = e.spawn("victim", [](bool& done) -> Task<void> {
+    co_await delay(seconds(5));
+    done = true;
+  }(victim_done));
+  EXPECT_TRUE(e.kill(victim));
+  bool heir_done = false;
+  const ActorId heir = e.spawn("heir", [](bool& done) -> Task<void> {
+    co_await delay(seconds(5));
+    done = true;
+  }(heir_done));
+  ASSERT_EQ(heir & 0xffffffffu, victim & 0xffffffffu);
+  EXPECT_FALSE(e.kill(victim));
+  EXPECT_FALSE(e.is_live(victim));
+  EXPECT_TRUE(e.is_live(heir));
+  e.run();
+  EXPECT_FALSE(victim_done);
+  EXPECT_TRUE(heir_done);
+}
+
+/// Appends its label to a log when its frame is destroyed.
+struct FrameMark {
+  std::vector<int>* log;
+  int label;
+  ~FrameMark() { log->push_back(label); }
+};
+
+TEST(Engine, ShutdownDestroysFramesInSpawnOrderAcrossRecycledSlots) {
+  Engine e;
+  std::vector<int> log;
+  auto actor = [](std::vector<int>& log, int label, Duration d) -> Task<void> {
+    FrameMark mark{&log, label};
+    co_await delay(d);
+  };
+  // Labels 0 and 2 finish early and free slots 0 and 2; 1 and 3 live on.
+  for (int label = 0; label < 4; ++label) {
+    e.spawn("early", actor(log, label, label % 2 == 0 ? seconds(1)
+                                                     : seconds(100)));
+  }
+  e.run_until(seconds(2));
+  ASSERT_EQ(log.size(), 2u);
+  log.clear();
+  // Labels 4 and 5 take the freed slots (LIFO: 2, then 0), 6 a fresh one,
+  // so slot order no longer matches spawn order.
+  std::vector<ActorId> late;
+  for (int label = 4; label < 7; ++label) {
+    late.push_back(e.spawn("late", actor(log, label, seconds(100))));
+  }
+  EXPECT_EQ(late[0] & 0xffffffffu, 2u);
+  EXPECT_EQ(late[1] & 0xffffffffu, 0u);
+  EXPECT_EQ(late[2] & 0xffffffffu, 4u);
+  e.run_until(seconds(3));  // start them: their marks live in the frames
+  ASSERT_TRUE(log.empty());
+  e.shutdown();
+  EXPECT_EQ(log, (std::vector<int>{1, 3, 4, 5, 6}));
+  EXPECT_EQ(e.live_actor_count(), 0u);
+}
+
+TEST(Engine, RunningTagNamesTheActorBeingResumed) {
+  Engine e;
+  std::vector<std::uint64_t> seen;
+  auto body = [](Engine& e, std::vector<std::uint64_t>& seen) -> Task<void> {
+    seen.push_back(e.running_tag());
+    co_await delay(seconds(1));
+    seen.push_back(e.running_tag());
+  };
+  e.spawn("tagged", body(e, seen), 42);
+  e.spawn("untagged", body(e, seen));
+  EXPECT_EQ(e.running_tag(), 0u);
+  e.run();
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{42, 0, 42, 0}));
 }
 
 }  // namespace

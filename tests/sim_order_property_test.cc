@@ -615,9 +615,9 @@ class TableChurnTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TableChurnTest, SlotMapMatchesMapUnderEnlistEvictReenlist) {
   Rng rng(GetParam());
-  SlotMap<int> table;
-  std::map<SlotMap<int>::Id, int> ref;
-  std::vector<SlotMap<int>::Id> minted;  // every handle ever issued
+  sim::SlotMap<int> table;
+  std::map<sim::SlotMap<int>::Id, int> ref;
+  std::vector<sim::SlotMap<int>::Id> minted;  // every handle ever issued
   int next_value = 0;
 
   for (int op = 0; op < 2'000; ++op) {
@@ -649,7 +649,7 @@ TEST_P(TableChurnTest, SlotMapMatchesMapUnderEnlistEvictReenlist) {
   EXPECT_LE(table.slab_high_water(), minted.size());
   // for_each visits exactly the live population.
   std::set<int> live_values, ref_values;
-  table.for_each([&](SlotMap<int>::Id, int v) { live_values.insert(v); });
+  table.for_each([&](sim::SlotMap<int>::Id, int v) { live_values.insert(v); });
   for (const auto& [id, v] : ref) ref_values.insert(v);
   EXPECT_EQ(live_values, ref_values);
 }
@@ -750,7 +750,7 @@ TEST_P(PoolChurnTest, ReadyPoolMatchesNaiveVector) {
   Rng rng(seed);
   ServiceTestAccess::ReadyPool pool;
   pool.set_indexed(indexed);
-  SlotMap<os::NodeId> workers;  // mints wids exactly as the service does
+  sim::SlotMap<os::NodeId> workers;  // mints wids exactly as the service does
   std::vector<RefReady> ref;    // pooled workers, FIFO order
   std::vector<std::uint64_t> live_wids;
   std::uint64_t arrivals = 0;
