@@ -49,7 +49,8 @@ RampResult run(bool spectrum) {
     if (r.first_worker_s < 0 && connected >= 1) r.first_worker_s = now;
     if (r.half_workers_s < 0 && connected >= kTarget / 2) r.half_workers_s = now;
     if (r.all_workers_s < 0 && connected >= kTarget) r.all_workers_s = now;
-    if (coasters.service().completed_jobs() >= kTarget * 4) {
+    if (bench::service_counter(coasters.service(), "jobs.completed") >=
+        kTarget * 4) {
       r.batch_done_s = now;
       break;
     }

@@ -7,12 +7,9 @@
 // for ensembles of short jobs"; the effect grows with allocation size as
 // concurrent GPFS image reads contend.
 //
-// With JETS_STAGING set, a second sweep runs the per-job input-staging
-// ablation (CAS dedup + warm cache vs naive re-push) and appends
-// '# staging '-prefixed rows; unset, the output is byte-identical to the
-// golden manifest.
+// The per-job input-staging ablation (CAS dedup + warm cache vs naive
+// re-push) runs in bench/scn_staging.
 #include <cstdio>
-#include <cstdlib>
 
 #include "harness.hh"
 
@@ -39,62 +36,6 @@ core::BatchReport run(std::size_t alloc_nodes, bool staged) {
   return report;
 }
 
-/// Input-staging ablation counters from one ensemble run.
-struct StagingPoint {
-  double pushed_mb = 0;   // bytes that crossed service->node
-  double warm_rate = 0;   // warm hits / (node, blob) requests
-  double makespan = 0;
-};
-
-/// An ensemble of short width-4 MPI jobs that all read the same two input
-/// blobs — the many-parallel-task shape where per-job staging either
-/// re-pushes every input for every job (cold baseline, staging_cache off)
-/// or stages each distinct blob to a node once and rides warm cache.
-StagingPoint run_staging(std::size_t alloc_nodes, bool cache) {
-  bench::Bed bed(os::Machine::surveyor(alloc_nodes));
-  bed.machine.shared_fs().put("ens_input_a", 8'000'000);
-  bed.machine.shared_fs().put("ens_input_b", 2'000'000);
-  auto options = bench::surveyor_options(/*workers_per_node=*/1);
-  options.service.staging_cache = cache;
-  core::StandaloneJets jets(bed.machine, bed.apps, options);
-  jets.start(bed.nodes(alloc_nodes));
-  core::JobSpec spec =
-      bench::mpi_job(4, {"namd_segment", "10", "0.3", "short"});
-  spec.stage_files = {"ens_input_a", "ens_input_b"};
-  // 16 waves over the allocation: every job wants both blobs on each of
-  // its 4 nodes, so the naive baseline moves 16x the bytes the cache does.
-  std::vector<core::JobSpec> jobs(16 * (alloc_nodes / 4), spec);
-  StagingPoint p;
-  bed.run([&]() -> sim::Task<void> {
-    co_await jets.wait_workers();
-    const core::BatchReport report = co_await jets.run_batch(jobs);
-    p.makespan = report.makespan_seconds();
-  });
-  p.pushed_mb =
-      static_cast<double>(jets.service().stage_bytes_pushed()) / 1e6;
-  const auto requests = jets.service().stage_requests();
-  if (requests > 0) {
-    p.warm_rate = static_cast<double>(jets.service().stage_warm_hits()) /
-                  static_cast<double>(requests);
-  }
-  return p;
-}
-
-void staging_sweep() {
-  std::printf("# staging cold-vs-warm input staging (CAS dedup; JETS_STAGING)\n");
-  std::printf("# staging %-8s %-10s %-10s %-10s %-10s %-10s %s\n", "nodes",
-              "cold_mb", "warm_mb", "warm_rate", "cold_mksp", "warm_mksp",
-              "dedup_x");
-  for (std::size_t nodes : {64u, 128u, 256u}) {
-    const StagingPoint cold = run_staging(nodes, false);
-    const StagingPoint warm = run_staging(nodes, true);
-    std::printf("# staging %-8zu %-10.1f %-10.1f %-10.3f %-10.1f %-10.1f %.1f\n",
-                nodes, cold.pushed_mb, warm.pushed_mb, warm.warm_rate,
-                cold.makespan, warm.makespan,
-                warm.pushed_mb > 0 ? cold.pushed_mb / warm.pushed_mb : 0.0);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -110,8 +51,5 @@ int main() {
     std::printf("%-8zu %-14.1f %-14.1f %.2fx\n", nodes, unstaged, staged,
                 unstaged / staged);
   }
-  // Opt-in extension: golden output above is frozen, so the per-job
-  // input-staging ablation only prints when asked for.
-  if (std::getenv("JETS_STAGING") != nullptr) staging_sweep();
   return 0;
 }

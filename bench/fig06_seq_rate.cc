@@ -7,7 +7,6 @@
 // below that; the single-point "ideal" is one node launching processes
 // locally with no communication on all four cores.
 #include <cstdio>
-#include <cstdlib>
 
 #include "harness.hh"
 
@@ -50,41 +49,6 @@ RatePoint jets_rate_point(std::size_t alloc_nodes, int tasks_per_slot,
 double jets_rate(std::size_t alloc_nodes, int tasks_per_slot,
                  bench::TraceSession& trace) {
   return jets_rate_point(alloc_nodes, tasks_per_slot, trace).rate;
-}
-
-/// JETS_STAGING series: the same no-op sweep but with every task naming a
-/// shared input blob in stage_files — the launch rate with per-job input
-/// staging riding the warm CAS cache, plus the measured warm-hit rate.
-void staging_series() {
-  std::printf("# staging launch rate with per-job input staging (CAS warm cache)\n");
-  for (std::size_t nodes : {32u, 128u, 512u}) {
-    bench::Bed bed(os::Machine::surveyor(nodes));
-    bed.machine.shared_fs().put("seq_input", 4'000'000);
-    auto options = bench::surveyor_options(/*workers_per_node=*/4);
-    options.worker.stage_files = {pmi::kProxyBinary, "noop"};
-    core::StandaloneJets jets(bed.machine, bed.apps, options);
-    jets.start(bed.nodes(nodes));
-    core::JobSpec spec = bench::seq_job({"noop"});
-    spec.stage_files = {"seq_input"};
-    std::vector<core::JobSpec> jobs(jets.total_slots() * 5, spec);
-    core::BatchReport report;
-    bed.run([&]() -> sim::Task<void> {
-      co_await jets.wait_workers();
-      report = co_await jets.run_batch(jobs);
-    });
-    const auto requests = jets.service().stage_requests();
-    const double warm_rate =
-        requests > 0 ? static_cast<double>(jets.service().stage_warm_hits()) /
-                           static_cast<double>(requests)
-                     : 0.0;
-    std::printf("# staging nodes=%zu cores=%zu jobs_per_s=%.0f warm_rate=%.3f "
-                "pushed_mb=%.1f\n",
-                nodes, nodes * 4,
-                static_cast<double>(report.completed) /
-                    report.makespan_seconds(),
-                warm_rate,
-                static_cast<double>(jets.service().stage_bytes_pushed()) / 1e6);
-  }
 }
 
 /// The "ideal" point: a single node forking no-ops on its 4 cores with no
@@ -143,8 +107,5 @@ int main() {
                   p.workers, p.jobs, p.rate, p.makespan_s);
     }
   }
-  // Input-staging series (JETS_STAGING): inert when unset, keeping the
-  // default output byte-identical to the golden manifest.
-  if (std::getenv("JETS_STAGING") != nullptr) staging_series();
   return 0;
 }

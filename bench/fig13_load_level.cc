@@ -5,7 +5,6 @@
 // width, stays flat for most of the ~11-minute run, and decays through the
 // long tail.
 #include <cstdio>
-#include <cstdlib>
 
 #include "namd_batch.hh"
 
@@ -40,27 +39,6 @@ int main() {
                   nodes, static_cast<std::size_t>(big.report.completed),
                   big.report.completed / makespan, makespan,
                   big.report.utilization());
-    }
-  }
-  // Input-staging series (JETS_STAGING): the same NAMD batch with each REM
-  // case's input blob staged per-job through the CAS — reports the warm-hit
-  // rate and bytes actually pushed. Inert when unset (golden output).
-  if (std::getenv("JETS_STAGING") != nullptr) {
-    std::printf("# staging NAMD batch with per-job input staging (32 REM cases)\n");
-    for (std::size_t nodes : {256u, 1024u}) {
-      auto r = bench::run_namd_batch(nodes, /*nproc=*/4,
-                                     /*stage_inputs=*/true);
-      const double warm_rate =
-          r.stage_requests > 0
-              ? static_cast<double>(r.stage_warm_hits) /
-                    static_cast<double>(r.stage_requests)
-              : 0.0;
-      std::printf("# staging nodes=%zu jobs=%zu makespan_s=%.0f "
-                  "utilization=%.3f warm_rate=%.3f pushed_mb=%.1f\n",
-                  nodes, static_cast<std::size_t>(r.report.completed),
-                  r.report.makespan_seconds(), r.report.utilization(),
-                  warm_rate,
-                  static_cast<double>(r.stage_bytes_pushed) / 1e6);
     }
   }
   return 0;

@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/namd.hh"
@@ -181,6 +182,14 @@ inline core::JobSpec seq_job(std::vector<std::string> argv) {
   core::JobSpec s;
   s.argv = std::move(argv);
   return s;
+}
+
+/// The service counter registered as "jets.service.<name>" (for example
+/// "jobs.completed"); the registry is the service's only counter view.
+inline std::size_t service_counter(const core::Service& svc,
+                                   std::string_view name) {
+  return static_cast<std::size_t>(
+      svc.metrics().counter_value("jets.service." + std::string(name)));
 }
 
 inline void figure_header(const char* id, const char* title,

@@ -15,7 +15,7 @@ struct NamdBatchResult {
   /// Busy cores over time (1 core per MPI process), for Fig 13.
   sim::TimeSeries load;
   std::uint64_t stdout_bytes = 0;
-  /// Staging counters (populated only by the stage_inputs variant).
+  /// Staging counters (nonzero only for the stage_inputs variant).
   std::uint64_t stage_requests = 0;
   std::uint64_t stage_warm_hits = 0;
   std::uint64_t stage_bytes_pushed = 0;
@@ -33,8 +33,8 @@ inline NamdBatchResult run_namd_batch(std::size_t alloc_nodes, int nproc = 4,
   // 4-proc jobs on the full rack, §6.1.6). Round-robin over 32 distinct
   // REM cases, as the paper did with its user-provided batch.
   const std::size_t njobs = alloc_nodes * 6 / static_cast<std::size_t>(nproc);
-  // The stage_inputs variant (JETS_STAGING series): each REM case reads its
-  // own ~12 MB structure/coordinate blob, staged per-job through the CAS.
+  // The stage_inputs variant (scn_staging): each REM case reads its own
+  // ~12 MB structure/coordinate blob, staged per-job through the CAS.
   if (stage_inputs) {
     for (int c = 0; c < 32; ++c) {
       bed.machine.shared_fs().put("rem_case_" + std::to_string(c), 12'000'000);
@@ -66,9 +66,10 @@ inline NamdBatchResult run_namd_batch(std::size_t alloc_nodes, int nproc = 4,
     out.report = co_await jets.run_batch(jobs);
   });
   out.load = busy.series();
-  out.stage_requests = jets.service().stage_requests();
-  out.stage_warm_hits = jets.service().stage_warm_hits();
-  out.stage_bytes_pushed = jets.service().stage_bytes_pushed();
+  const core::Service& svc = jets.service();
+  out.stage_requests = service_counter(svc, "staging.requests");
+  out.stage_warm_hits = service_counter(svc, "staging.warm_hits");
+  out.stage_bytes_pushed = service_counter(svc, "staging.bytes_pushed");
   return out;
 }
 

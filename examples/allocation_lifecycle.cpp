@@ -56,10 +56,15 @@ int main() {
   }
 
   // (3) Walltime: retire ALL pilots at t=1200 s regardless of progress.
+  // Service counters live in its metrics registry, by dotted name.
+  const auto count = [&](const char* name) {
+    return static_cast<std::size_t>(
+        coasters.service().metrics().counter_value(name));
+  };
   engine.call_at(sim::seconds(600), [&] {
     std::printf("t=600s: %zu workers connected, %zu jobs done, %zu queued\n",
                 coasters.service().connected_workers(),
-                coasters.service().completed_jobs(),
+                count("jets.service.jobs.completed"),
                 coasters.service().pending_jobs());
   });
 
@@ -71,8 +76,8 @@ int main() {
   engine.run_until(sim::seconds(3600));
 
   std::printf("\nfinal: %zu/%d jobs completed (%zu failed) in %.0f s\n",
-              coasters.service().completed_jobs(), 120,
-              coasters.service().failed_jobs(),
+              count("jets.service.jobs.completed"), 120,
+              count("jets.service.jobs.failed"),
               sim::to_seconds(engine.now()));
   std::printf("workers provisioned through the spectrum allocator: %zu\n",
               coasters.worker_count());

@@ -11,6 +11,7 @@
 // Build & run:  ./build/examples/fault_tolerant_sweep
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "apps/synthetic.hh"
 #include "core/chaos.hh"
@@ -91,6 +92,11 @@ int main() {
     if (rec.attempts > 1) ++retried;
   }
   const auto& c = chaos.counters();
+  // Service counters live in its metrics registry, by dotted name.
+  const auto count = [&](const std::string& name) {
+    return static_cast<std::size_t>(
+        jets.service().metrics().counter_value(name));
+  };
   std::printf("sweep: %zu jobs, %zu completed, %zu failed\n",
               report.records.size(), report.completed, report.failed);
   std::printf(
@@ -99,16 +105,18 @@ int main() {
       c.pilots_killed, c.workers_hung, c.nodes_stalled, c.nodes_degraded);
   std::printf("service response: %zu workers evicted, %zu re-enlisted "
               "(%zu heartbeats)\n",
-              jets.service().evicted_workers(),
-              jets.service().reenlisted_workers(),
-              jets.service().heartbeats_received());
+              count("jets.service.workers.evicted"),
+              count("jets.service.workers.reenlisted"),
+              count("jets.service.workers.heartbeats"));
   std::printf("jobs retried after faults: %d (total attempts %d, "
               "%zu delayed requeues)\n",
               retried, total_attempts, jets.service().retries_scheduled());
   std::printf("failure taxonomy:");
   for (std::size_t i = 1; i < core::kFailureReasonCount; ++i) {
     const auto reason = static_cast<core::FailureReason>(i);
-    if (const auto n = jets.service().failures_by_reason(reason); n > 0) {
+    const auto n = count(std::string("jets.service.failures.") +
+                         core::to_string(reason));
+    if (n > 0) {
       std::printf(" %s=%zu", core::to_string(reason), n);
     }
   }

@@ -7,12 +7,17 @@
 # Runs the google-benchmark micro suite (engine schedule/cancel/dispatch,
 # scheduler choose_job/claim_workers, CAS put/get, stage fan-out dedup)
 # plus wall-clock timings of the two headline figure benches (fig06,
-# fig09), the abl_staging cold-vs-warm sweep, and the fig07 elastic
-# scenario, and appends one JSON entry to
-# BENCH_sim.json keyed by commit. The file is an append-only trajectory:
-# one entry per measurement, never rewritten, so regressions are visible
-# as a time series across PRs. Numbers are host-dependent — compare
-# entries only within one machine (the `host` field).
+# fig09) and the large-N series, and appends one JSON entry to
+# BENCH_sim.json. The file is an append-only trajectory: one entry per
+# measurement, never rewritten, so regressions are visible as a time
+# series across PRs. Numbers are host-dependent — compare entries only
+# within one machine (the `host` field).
+#
+# Each entry names the tree it measured: `commit` is HEAD and `dirty` says
+# whether tracked files differed from it. `parent` is the commit the
+# measured change sits on — HEAD itself for a dirty tree, HEAD's parent
+# for a clean one — so a change can record its numbers before it is
+# committed and still be matched to its base.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,7 +43,7 @@ echo "== micro suite (google-benchmark) =="
 wall_ns() {  # wall-clock of one figure bench at default scale, output discarded
   local t0 t1
   t0=$(date +%s%N)
-  env -u JETS_LARGE_N -u JETS_STAGING -u JETS_ELASTIC "$1" > /dev/null
+  env -u JETS_LARGE_N -u JETS_TRACE "$1" > /dev/null
   t1=$(date +%s%N)
   echo $((t1 - t0))
 }
@@ -73,94 +78,24 @@ JETS_LARGE_N=4 "$BUILD/bench/fig13_load_level" \
   | sed -n 's/^# largeN /fig13 /p' >> "$large_n_txt"
 cat "$large_n_txt"
 
-# Crash-recovery trajectory: the fig10 recover scenario's MTTR and
-# rescued/restarted counters, so recovery-path regressions show up in the
-# same time series as the launch-rate numbers.
-echo "== crash-recovery scenario (fig10 recover) =="
-recover_txt="$trace_dir/recover.txt"
-JETS_RECOVER=1 "$BUILD/bench/fig10_faulty" \
-  | sed -n 's/^# recover //p' > "$recover_txt"
-cat "$recover_txt"
-
-# Input-staging trajectory: the abl_staging cold-vs-warm sweep's pushed
-# bytes, warm-hit rate, and dedup factor (JETS_STAGING), so CAS and
-# replication-planner regressions show in the same time series.
-echo "== input-staging sweep (abl_staging, JETS_STAGING=1) =="
-staging_txt="$trace_dir/staging.txt"
-JETS_STAGING=1 "$BUILD/bench/abl_staging" \
-  | sed -n 's/^# staging \([0-9]\)/\1/p' > "$staging_txt"
-cat "$staging_txt"
-
-# Elastic-allocation trajectory: the fig07 elastic scenario's ramp time,
-# pool peak, scale-out/in and drain counts (JETS_ELASTIC), so controller
-# regressions show in the same time series.
-echo "== elastic scenario (fig07, JETS_ELASTIC=1) =="
-elastic_txt="$trace_dir/elastic.txt"
-JETS_ELASTIC=1 "$BUILD/bench/fig07_cluster_util" \
-  | sed -n 's/^# elastic //p' > "$elastic_txt"
-cat "$elastic_txt"
-
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+if [[ -n "$(git status --porcelain --untracked-files=no 2>/dev/null)" ]]; then
+  dirty=true
+  parent="$commit"
+else
+  dirty=false
+  parent=$(git rev-parse --short HEAD~1 2>/dev/null || echo unknown)
+fi
 date_iso=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
-entry=$(python3 - "$micro_json" "$commit" "$date_iso" "$fig06_ns" "$fig09_ns" \
-        "$large_n_txt" "$recover_txt" "$staging_txt" "$elastic_txt" <<'PY'
+entry=$(python3 - "$micro_json" "$commit" "$parent" "$dirty" "$date_iso" \
+        "$fig06_ns" "$fig09_ns" "$large_n_txt" <<'PY'
 import json, platform, sys
 
-(micro_path, commit, date_iso, fig06_ns, fig09_ns, large_n_path,
- recover_path, staging_path, elastic_path) = sys.argv[1:10]
+(micro_path, commit, parent, dirty, date_iso, fig06_ns, fig09_ns,
+ large_n_path) = sys.argv[1:9]
 with open(micro_path) as f:
     micro = json.load(f)
-
-# Rows: "pass=<name> k=v ..." from the fig10 recover trailer; numbers are
-# kept numeric, yes/NO flags become booleans.
-recovery = {}
-with open(recover_path) as f:
-    for line in f:
-        toks = line.split()
-        if not toks or not toks[0].startswith("pass="):
-            continue
-        point = {}
-        for kv in toks[1:]:
-            k, _, v = kv.partition("=")
-            if v in ("yes", "NO"):
-                point[k] = v == "yes"
-            else:
-                try:
-                    point[k] = float(v) if "." in v else int(v, 0)
-                except ValueError:
-                    point[k] = v
-        recovery[toks[0].partition("=")[2]] = point
-
-# Rows: "<nodes> <cold_mb> <warm_mb> <warm_rate> <cold_mksp> <warm_mksp>
-# <dedup_x>" from the abl_staging cold-vs-warm sweep.
-staging = []
-with open(staging_path) as f:
-    for line in f:
-        toks = line.split()
-        if len(toks) != 7:
-            continue
-        staging.append({
-            "nodes": int(toks[0]),
-            "cold_pushed_mb": float(toks[1]),
-            "warm_pushed_mb": float(toks[2]),
-            "warm_hit_rate": float(toks[3]),
-            "cold_makespan_s": float(toks[4]),
-            "warm_makespan_s": float(toks[5]),
-            "dedup_x": float(toks[6]),
-        })
-
-# Rows: "key=value", one per line, from the fig07 elastic scenario.
-elastic = {}
-with open(elastic_path) as f:
-    for line in f:
-        k, sep, v = line.strip().partition("=")
-        if not sep:
-            continue
-        try:
-            elastic[k] = float(v) if "." in v else int(v)
-        except ValueError:
-            elastic[k] = v
 
 # Rows: "<bench> workers=N jobs=N tasks_per_s=R makespan_s=S [utilization=U]"
 large_n = []
@@ -189,6 +124,8 @@ for b in micro.get("benchmarks", []):
 
 entry = {
     "commit": commit,
+    "parent": parent,
+    "dirty": dirty == "true",
     "date": date_iso,
     "host": platform.node(),
     "figures_wall_ns": {
@@ -196,9 +133,6 @@ entry = {
         "fig09_bgp_util": int(fig09_ns),
     },
     "large_n": large_n,
-    "recovery": recovery,
-    "staging": staging,
-    "elastic": elastic,
     "micro": benches,
 }
 print(json.dumps(entry, indent=2))
@@ -222,7 +156,8 @@ trajectory.append(entry)
 with open(out, "w") as f:
     json.dump(trajectory, f, indent=2)
     f.write("\n")
-print(f"bench.sh: appended entry for {entry['commit']} to {out} "
+print(f"bench.sh: appended entry for {entry['commit']}"
+      f"{' (dirty)' if entry['dirty'] else ''} to {out} "
       f"({len(trajectory)} entries)")
 PY
 fi

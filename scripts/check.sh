@@ -19,14 +19,15 @@
 # that, scheduler_equiv.sh replays all 15 figure benches against the
 # committed golden manifest (hot-path refactors must not move a byte),
 # and the scale suite re-runs at 10^5 workers — release build only,
-# under a wall-clock budget. The default preset also runs a crash-recovery
-# smoke: the fig10 recover scenario (JETS_RECOVER=1) must report replay
-# digest/snapshot byte-equality and verbatim preservation of pre-crash
-# settled records, and a staging smoke: the JETS_STAGING=1 abl_staging
-# sweep must be byte-identical across two runs (warm-cache determinism)
-# and its cold/warm dedup factor at least 10x, and an elastic smoke: the
-# JETS_ELASTIC=1 fig07 scenario must be byte-identical across two runs and
-# lose zero jobs to walltime expiry under allocation chaos. The sanitizer
+# under a wall-clock budget. The default preset also runs the feature
+# scenarios beyond the paper, each twice and byte-diffed: a crash-recovery
+# smoke (scn_recover must report replay digest/snapshot byte-equality and
+# verbatim preservation of pre-crash settled records), a staging smoke
+# (scn_staging's cold/warm dedup factor at least 10x), and an elastic smoke
+# (scn_elastic must lose zero jobs to walltime expiry under allocation
+# chaos). A source check keeps the golden figures free of env-var modes:
+# no bench/*.cc may call std::getenv (bench/harness.hh is the only
+# reader, for JETS_TRACE and JETS_LARGE_N). The sanitizer
 # pass re-runs the fault-heavy
 # suites (-L chaos and -L retry), the recovery suite (-L recovery, whose
 # codec tests fuzz the snapshot reader's bounds checks), the staging
@@ -90,12 +91,31 @@ if [[ "$run_default" == 1 ]]; then
   fi
   echo "tracing smoke: OK"
 
-  echo "== crash-recovery smoke: fig10 recover scenario (checkpoint/restore) =="
-  JETS_RECOVER=1 ./build/bench/fig10_faulty > "$tmpdir/fig10_recover.txt"
+  echo "== golden sources: no env-var modes in bench/*.cc =="
+  if grep -n 'getenv' bench/*.cc; then
+    echo "golden sources FAILED: a bench source reads the environment" \
+         "(only bench/harness.hh may)" >&2
+    exit 1
+  fi
+  echo "golden sources: OK"
+
+  # Runs a scenario binary twice; the outputs must be byte-identical.
+  run_twice() {
+    ./build/bench/"$1" > "$tmpdir/$1_a.txt"
+    ./build/bench/"$1" > "$tmpdir/$1_b.txt"
+    if ! cmp -s "$tmpdir/$1_a.txt" "$tmpdir/$1_b.txt"; then
+      echo "$1 FAILED: output differs between runs" >&2
+      diff "$tmpdir/$1_a.txt" "$tmpdir/$1_b.txt" >&2 || true
+      exit 1
+    fi
+  }
+
+  echo "== crash-recovery smoke: scn_recover twice, byte-identical =="
+  run_twice scn_recover
   for want in 'digest_match=yes' 'snapshot_match=yes' 'preserved_match=yes'; do
-    if ! grep -q "$want" "$tmpdir/fig10_recover.txt"; then
+    if ! grep -q "$want" "$tmpdir/scn_recover_a.txt"; then
       echo "crash-recovery smoke FAILED: missing '$want'" >&2
-      grep '^# ' "$tmpdir/fig10_recover.txt" >&2 || true
+      cat "$tmpdir/scn_recover_a.txt" >&2
       exit 1
     fi
   done
@@ -104,20 +124,14 @@ if [[ "$run_default" == 1 ]]; then
   echo "== staging lane: ctest -L staging (release) =="
   ctest --preset default --no-tests=error -L staging -j "$(nproc)"
 
-  echo "== staging smoke: JETS_STAGING=1 abl_staging twice, byte-identical, dedup >= 10x =="
-  JETS_STAGING=1 ./build/bench/abl_staging > "$tmpdir/staging_a.txt"
-  JETS_STAGING=1 ./build/bench/abl_staging > "$tmpdir/staging_b.txt"
-  if ! cmp -s "$tmpdir/staging_a.txt" "$tmpdir/staging_b.txt"; then
-    echo "staging smoke FAILED: warm-cache run not deterministic across reruns" >&2
-    diff "$tmpdir/staging_a.txt" "$tmpdir/staging_b.txt" >&2 || true
-    exit 1
-  fi
+  echo "== staging smoke: scn_staging twice, byte-identical, dedup >= 10x =="
+  run_twice scn_staging
   # Every '# staging <nodes> ...' data row's last column is the cold/warm
   # dedup factor; the CAS + replication planner must buy at least 10x.
   if ! awk '/^# staging [0-9]/ { rows++; if ($NF + 0 < 10) bad = 1 } \
-            END { exit (bad || rows == 0) }' "$tmpdir/staging_a.txt"; then
+            END { exit (bad || rows == 0) }' "$tmpdir/scn_staging_a.txt"; then
     echo "staging smoke FAILED: dedup factor below 10x (or no sweep rows)" >&2
-    grep '^# staging' "$tmpdir/staging_a.txt" >&2 || true
+    grep '^# staging' "$tmpdir/scn_staging_a.txt" >&2 || true
     exit 1
   fi
   echo "staging smoke: OK"
@@ -128,22 +142,16 @@ if [[ "$run_default" == 1 ]]; then
   echo "== rpc lane: ctest -L rpc (release) =="
   ctest --preset default --no-tests=error -L rpc -j "$(nproc)"
 
-  echo "== elastic smoke: JETS_ELASTIC=1 fig07 twice, byte-identical, zero jobs lost =="
-  JETS_ELASTIC=1 ./build/bench/fig07_cluster_util > "$tmpdir/elastic_a.txt"
-  JETS_ELASTIC=1 ./build/bench/fig07_cluster_util > "$tmpdir/elastic_b.txt"
-  if ! cmp -s "$tmpdir/elastic_a.txt" "$tmpdir/elastic_b.txt"; then
-    echo "elastic smoke FAILED: elastic run not deterministic across reruns" >&2
-    diff "$tmpdir/elastic_a.txt" "$tmpdir/elastic_b.txt" >&2 || true
-    exit 1
-  fi
-  if ! grep -q '^# elastic jobs_lost_to_walltime=0$' "$tmpdir/elastic_a.txt"; then
+  echo "== elastic smoke: scn_elastic twice, byte-identical, zero jobs lost =="
+  run_twice scn_elastic
+  if ! grep -q '^# elastic jobs_lost_to_walltime=0$' "$tmpdir/scn_elastic_a.txt"; then
     echo "elastic smoke FAILED: jobs lost to walltime expiry (or no elastic rows)" >&2
-    grep '^# elastic' "$tmpdir/elastic_a.txt" >&2 || true
+    grep '^# elastic' "$tmpdir/scn_elastic_a.txt" >&2 || true
     exit 1
   fi
-  if ! grep -q '^# elastic failed=0$' "$tmpdir/elastic_a.txt"; then
+  if ! grep -q '^# elastic failed=0$' "$tmpdir/scn_elastic_a.txt"; then
     echo "elastic smoke FAILED: jobs failed under elastic chaos" >&2
-    grep '^# elastic' "$tmpdir/elastic_a.txt" >&2 || true
+    grep '^# elastic' "$tmpdir/scn_elastic_a.txt" >&2 || true
     exit 1
   fi
   echo "elastic smoke: OK"

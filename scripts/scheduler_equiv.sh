@@ -40,10 +40,9 @@ while read -r want name; do
     break
   fi
   out="$WORKDIR/$name.txt"
-  # Large-N / trace / recovery / staging / elastic env knobs must not leak
-  # in: the manifest covers the default scales and scenarios only.
-  if ! env -u JETS_LARGE_N -u JETS_TRACE -u JETS_RECOVER -u JETS_STAGING \
-      -u JETS_ELASTIC "$bin" > "$out" 2>&1; then
+  # The large-N and trace knobs must not leak in: the manifest covers the
+  # default scales, untraced.
+  if ! env -u JETS_LARGE_N -u JETS_TRACE "$bin" > "$out" 2>&1; then
     echo "scheduler_equiv: FAIL $name (bench exited nonzero)" >&2
     fail=1
     break

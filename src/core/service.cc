@@ -62,10 +62,18 @@ void Service::init_metrics() {
   m_blacklist_rejections_ = reg("jets.service.blacklist.rejections");
   m_blacklist_paroles_ = reg("jets.service.blacklist.paroles");
   m_retries_scheduled_ = reg("jets.service.retry.scheduled");
+  // Restores from a snapshot (0 or 1); checkpointed workers that redialed
+  // and reclaimed their identity; restored running jobs whose attempt
+  // survived and later succeeded; ghosts never seen within restore_grace.
   m_restores_ = reg("jets.service.restore.count");
   m_reconciled_ = reg("jets.service.restore.workers_reconciled");
   m_rescued_ = reg("jets.service.restore.jobs_rescued");
   m_ghosts_dropped_ = reg("jets.service.restore.ghosts_dropped");
+  // Staging: (node, blob) requests, split into service pushes (cold), peer
+  // copies, warm hits and coalesces onto a transfer in flight; acks written
+  // off when a worker died mid-stage; evictions reported by workers' acks;
+  // bytes moved service->node, and bytes a naive per-job push would have
+  // moved but warm hits and coalesces did not.
   m_stage_requests_ = reg("jets.service.staging.requests");
   m_stage_pushes_ = reg("jets.service.staging.pushes");
   m_stage_peer_copies_ = reg("jets.service.staging.peer_copies");
@@ -75,6 +83,8 @@ void Service::init_metrics() {
   m_stage_evictions_ = reg("jets.service.staging.evictions");
   m_stage_bytes_pushed_ = reg("jets.service.staging.bytes_pushed");
   m_stage_bytes_saved_ = reg("jets.service.staging.bytes_saved");
+  // Elastic: jobs requeued at a drain deadline; placements refused by the
+  // walltime claim gate.
   m_drain_requeues_ = reg("jets.service.elastic.drain_requeues");
   m_gate_refusals_ = reg("jets.service.elastic.gate_refusals");
   rpc_metrics_.calls = reg("jets.rpc.calls");
@@ -86,6 +96,8 @@ void Service::init_metrics() {
   rpc_metrics_.decode_errors = reg("jets.rpc.decode_errors");
   rpc_metrics_.unknown_tags = reg("jets.rpc.unknown_tags");
   rpc_metrics_.inflight = &m.gauge("jets.rpc.inflight");
+  // Failures by reason: one count per failed attempt, plus attempt-less
+  // settles (queued-job deadlines, aborts).
   for (std::size_t i = 0; i < kFailureReasonCount; ++i) {
     m_failures_[i] = reg((std::string("jets.service.failures.") +
                           to_string(static_cast<FailureReason>(i)))
@@ -175,12 +187,9 @@ JobId Service::submit(JobSpec spec) {
   // The job's timeout is a deadline measured from submission: it covers
   // queue time too, so a job that can never be placed (e.g. wider than the
   // allocation) still settles.
-  const sim::Duration timeout = j.rec.spec.timeout > 0
-                                    ? j.rec.spec.timeout
-                                    : config_.default_job_timeout;
-  if (timeout > 0) {
+  if (j.rec.spec.timeout > 0) {
     j.timeout = machine_->engine().call_in(
-        timeout, [this, id] { deadline_expired(id); });
+        j.rec.spec.timeout, [this, id] { deadline_expired(id); });
   }
   if (started_) kick();
   return id;
@@ -733,7 +742,7 @@ std::vector<Service::WorkerId> Service::claim_workers(std::size_t count,
       ready_.erase_front(workers_.at(wid).node);
       claimed.push_back(wid);
     }
-  } else if (config_.data_aware_grouping && !spec.stage_files.empty()) {
+  } else if (!spec.stage_files.empty()) {
     // Data-aware refinement: among width-feasible windows, prefer the one
     // whose nodes already hold (or are receiving) the most input bytes —
     // warm cache beats short hops. Ties fall back to the min-span pick,
@@ -1100,8 +1109,7 @@ void Service::requeue_job(JobId id) {
   --backing_off_;
   // The machine may have shrunk below the job's width during the backoff.
   const auto needed = static_cast<std::size_t>(job.rec.spec.workers_needed());
-  if (config_.fail_unsatisfiable && needed > potential_capacity() &&
-      needed <= peak_capacity_) {
+  if (needed > potential_capacity() && needed <= peak_capacity_) {
     m_failures_[static_cast<std::size_t>(FailureReason::kServiceAbort)]->inc();
     settle_job(job, JobStatus::kFailed, FailureReason::kServiceAbort);
     check_all_done();
@@ -1199,7 +1207,6 @@ std::size_t Service::potential_capacity() const {
 }
 
 void Service::reap_unsatisfiable() {
-  if (!config_.fail_unsatisfiable) return;
   if (queue_.empty()) return;
   const std::size_t cap = potential_capacity();
   std::vector<JobId> doomed;

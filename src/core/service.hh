@@ -36,8 +36,8 @@
 //   * JobSpec::retry overrides the service-wide policy per job;
 //   * mpi_launch_timeout bounds the gang wiring phase (proxy dial-back +
 //     PMI init), failing fast with kLaunchTimeout;
-//   * fail_unsatisfiable settles queued jobs wider than the machine can
-//     ever again supply (kServiceAbort) instead of letting wait_all hang;
+//   * queued jobs wider than the machine can ever again supply settle as
+//     kServiceAbort instead of letting wait_all hang;
 //   * blacklist_probation paroles blacklisted nodes after a cooldown with
 //     their eviction count halved.
 //
@@ -106,24 +106,17 @@ class Service {
     sim::Duration mpi_launch_timeout = 0;
     SchedPolicy policy = SchedPolicy::kFifo;
     /// §7: group MPI jobs onto workers with nearby node ids (torus
-    /// locality) instead of first-come-first-served.
+    /// locality) instead of first-come-first-served. For jobs naming
+    /// stage_files, the window holding the most resident input bytes wins;
+    /// ties (a cold cache) keep the min-span pick.
     bool network_aware_grouping = false;
     /// Content-addressed staging of JobSpec::stage_files: each distinct
     /// blob reaches a node at most once (later jobs are satisfied from
     /// warm cache with a zero-byte "staged" ack), and cold copies prefer a
     /// cheap peer node that already holds the digest over a service push.
     /// Off = the naive pre-CAS behavior: every job re-pushes every input
-    /// to every one of its nodes (the abl_staging cold baseline).
+    /// to every one of its nodes (the scn_staging cold baseline).
     bool staging_cache = true;
-    /// Data-aware placement: among width-feasible node-sorted windows,
-    /// claim the one with the most resident input bytes for the job's
-    /// stage_files; ties fall back to the min-span/earliest-window rule,
-    /// so cold-cache picks are byte-identical to plain network-aware
-    /// grouping. Only meaningful with network_aware_grouping; no effect
-    /// on jobs without stage_files.
-    bool data_aware_grouping = true;
-    /// Applied to jobs whose spec has no timeout; 0 = none.
-    sim::Duration default_job_timeout = 0;
     /// Liveness deadline for *busy* workers: a worker that has been silent
     /// this long after being handed work is disregarded — removed from the
     /// pools, its job attempt failed so it retries elsewhere (§5 feature 3:
@@ -141,11 +134,6 @@ class Service {
     /// node may re-enlist with its eviction count halved (so a repeat
     /// offender is re-banned quickly). 0 = the ban is permanent.
     sim::Duration blacklist_probation = 0;
-    /// When the ready pool can never again satisfy a queued job's width —
-    /// evictions and blacklisting shrank the machine below a width it once
-    /// met — fail the job with kServiceAbort instead of letting wait_all
-    /// hang on it.
-    bool fail_unsatisfiable = true;
     /// Grace period after a restore-from-snapshot during which checkpointed
     /// workers are carried as "ghosts": they count toward capacity and hold
     /// their slots for heartbeat reconciliation (a surviving pilot that
@@ -156,7 +144,7 @@ class Service {
     /// Metrics sink. The service registers its instruments here (dotted
     /// "jets.service.*" names, see DESIGN.md §8) so harnesses can snapshot
     /// one registry across components. nullptr = the service owns a
-    /// private registry; the counter accessors below work either way.
+    /// private registry.
     obs::MetricsRegistry* metrics = nullptr;
   };
 
@@ -217,75 +205,20 @@ class Service {
   Snapshot checkpoint() const;
 
   /// The metrics registry this service reports to: Config::metrics when
-  /// set, otherwise a private one. All the counter accessors below are
-  /// views over it — the registry holds the truth.
+  /// set, otherwise a private one. It is the only view of the service's
+  /// counters: read them by their "jets.service.*" names (DESIGN.md §8).
   obs::MetricsRegistry& metrics() { return *metrics_; }
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
 
-  // Live counters (sampled by harnesses for Figs 10/13).
+  // Live levels (sampled by harnesses for Figs 10/13).
   std::size_t connected_workers() const { return connected_; }
   std::size_t ready_workers() const;
   std::size_t running_jobs() const { return running_; }
   std::size_t pending_jobs() const { return queue_.size(); }
-  std::size_t completed_jobs() const { return m_completed_->value; }
-  std::size_t failed_jobs() const { return m_failed_->value; }
-  std::size_t quarantined_jobs() const { return m_quarantined_->value; }
-
-  // Liveness/eviction counters (chaos benches and the fault-matrix tests).
-  std::size_t evicted_workers() const { return m_evicted_->value; }
-  std::size_t reenlisted_workers() const { return m_reenlisted_->value; }
-  std::size_t heartbeats_received() const { return m_heartbeats_->value; }
-  std::size_t blacklist_rejections() const {
-    return m_blacklist_rejections_->value;
-  }
-  std::size_t blacklist_paroles() const { return m_blacklist_paroles_->value; }
-
-  // Failure-taxonomy counters (fault-spectrum bench, Fig 10).
-  /// Failures classified as `reason` across all jobs: one count per failed
-  /// attempt, plus attempt-less settles (queued-job deadlines, aborts).
-  std::size_t failures_by_reason(FailureReason reason) const {
-    return m_failures_.at(static_cast<std::size_t>(reason))->value;
-  }
   /// Delayed requeues the retry engine has scheduled.
   std::size_t retries_scheduled() const { return m_retries_scheduled_->value; }
-
-  // Recovery counters (checkpoint/restore path; see core/snapshot.hh).
-  /// Times this service was constructed from a snapshot (0 or 1).
-  std::size_t restores() const { return m_restores_->value; }
-  /// Checkpointed workers that redialed and reclaimed their identity.
-  std::size_t workers_reconciled() const { return m_reconciled_->value; }
-  /// Running jobs whose attempt survived the crash (worker + task intact
-  /// across the restore) and later settled successfully.
-  std::size_t jobs_rescued() const { return m_rescued_->value; }
-  /// Checkpointed workers dropped because they never redialed within
-  /// Config::restore_grace.
-  std::size_t ghosts_dropped() const { return m_ghosts_dropped_->value; }
   /// Ghost workers still awaiting reconciliation (0 once the grace ran out).
   std::size_t awaiting_workers() const { return awaiting_; }
-  /// Engine time this service was restored from a snapshot (-1 = never).
-  sim::Time restored_at() const { return restored_at_; }
-
-  // Staging counters (abl_staging bench and the staging test lane).
-  /// (node, blob) pairs any job asked for — the denominator of the dedup
-  /// and warm-hit rates below.
-  std::size_t stage_requests() const { return m_stage_requests_->value; }
-  /// Blobs pushed service->node over the fabric (cold misses).
-  std::size_t stage_pushes() const { return m_stage_pushes_->value; }
-  /// Blobs copied node->node because a peer already held the digest.
-  std::size_t stage_peer_copies() const { return m_stage_peer_copies_->value; }
-  /// Requests satisfied from warm cache with a zero-byte ack.
-  std::size_t stage_warm_hits() const { return m_stage_warm_hits_->value; }
-  /// Requests that piggybacked on a transfer already in flight.
-  std::size_t stage_coalesced() const { return m_stage_coalesced_->value; }
-  /// Acks written off because the worker died mid-stage (satellite S1).
-  std::size_t stage_acks_lost() const { return m_stage_acks_lost_->value; }
-  /// Cache evictions reported by workers' staged acks.
-  std::size_t stage_evictions() const { return m_stage_evictions_->value; }
-  /// Bytes actually moved service->node.
-  std::uint64_t stage_bytes_pushed() const { return m_stage_bytes_pushed_->value; }
-  /// Bytes a naive per-job push would have moved but the cache did not
-  /// (warm hits + coalesces; peer copies still move bytes, just cheaper).
-  std::uint64_t stage_bytes_saved() const { return m_stage_bytes_saved_->value; }
 
   // --- Elastic allocations (driven by swift::BlockAllocator) -----------------
   //
@@ -313,10 +246,6 @@ class Service {
   void set_elastic_capacity(std::size_t cap) { elastic_capacity_ = cap; }
 
   bool node_draining(os::NodeId node) const;
-  /// Jobs requeued at a drain deadline (the zero-jobs-lost path).
-  std::size_t drain_requeues() const { return m_drain_requeues_->value; }
-  /// Placements refused by the walltime claim gate.
-  std::size_t gate_refusals() const { return m_gate_refusals_->value; }
 
   /// Test hook: the ready pool holds no duplicates and only workers that
   /// are connected, idle, and not evicted.
@@ -328,8 +257,6 @@ class Service {
   std::size_t worker_slab_high_water() const {
     return workers_.slab_high_water();
   }
-  /// Jobs ever submitted (the job table is append-only by design).
-  std::size_t job_table_size() const { return jobs_.size(); }
   /// Pending-queue entries including stale lazy-deletion copies; the
   /// compaction policy bounds this by 2 * live + O(1).
   std::size_t queue_physical_size() const { return queue_.physical_size(); }
@@ -720,7 +647,7 @@ class Service {
     obs::SpanId span_stage = 0;    // "job.stage" (input staging fan-out)
     obs::SpanId span_run = 0;      // "job.run" (work handed over->outcome)
     /// Restored in kRunning state with its attempt's workers intact; if the
-    /// attempt later succeeds it counts as "rescued" (jobs_rescued()).
+    /// attempt later succeeds it counts in restore.jobs_rescued.
     bool restored_running = false;
   };
 
@@ -773,8 +700,8 @@ class Service {
   /// Picks the next dispatchable job per policy, or nullopt.
   std::optional<JobId> choose_job();
   /// Selects and claims `count` ready workers (FCFS or network-aware; when
-  /// `spec` names stage_files and data_aware_grouping is on, the window
-  /// maximizing resident input bytes wins, ties keep the min-span pick).
+  /// `spec` names stage_files, the window maximizing resident input bytes
+  /// wins, ties keep the min-span pick).
   std::vector<WorkerId> claim_workers(std::size_t count, const JobSpec& spec);
   sim::Task<void> place_job(JobId id);
   void job_finished(JobId id, int status, FailureReason reason);
@@ -922,9 +849,6 @@ class Service {
   std::size_t awaiting_ = 0;
   /// Armed by apply_snapshot when ghosts exist; fires reconcile_ghosts.
   sim::TimerHandle reconcile_timer_;
-  /// Engine time of the restore (-1 = never restored); fig10's recover
-  /// scenario derives MTTR from it.
-  sim::Time restored_at_ = -1;
 
   /// Instruments cached out of the registry at construction (stable
   /// addresses): one pointer-indirect add per event, no name lookups on

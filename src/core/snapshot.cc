@@ -777,7 +777,6 @@ void Service::apply_snapshot(const Snapshot& snap) {
     all_done_->close();
   }
   m_restores_->inc();
-  restored_at_ = now;
   if (awaiting_ > 0) {
     reconcile_timer_ = machine_->engine().call_in(
         config_.restore_grace, [this] { reconcile_ghosts(); });

@@ -19,8 +19,13 @@ std::int64_t Histogram::quantile_upper_bound(double q) const {
 }
 
 std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
+  const Counter* c = find_counter(name);
+  return c == nullptr ? 0 : c->value;
+}
+
+const Counter* MetricsRegistry::find_counter(std::string_view name) const {
   auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second.value;
+  return it == counters_.end() ? nullptr : &it->second;
 }
 
 std::int64_t MetricsRegistry::gauge_value(std::string_view name) const {

@@ -1,14 +1,13 @@
 // Central metrics registry: counters, gauges, and histograms behind stable
 // dotted names.
 //
-// This absorbs the ad-hoc counter members that used to live on
-// core::Service (liveness, failure taxonomy, retry/quarantine) and the
-// chaos layer: components get-or-create an instrument once, cache the
-// returned pointer, and bump it on the hot path — one pointer-indirect
-// add, no name lookup per increment. Instrument addresses are stable for
-// the registry's lifetime (node-based map storage), and snapshot() renders
-// every instrument sorted by name, so two same-seed runs snapshot
-// identically.
+// It is the one counter view of core::Service and the chaos layer:
+// components get-or-create an instrument once, cache the returned pointer,
+// and bump it on the hot path — one pointer-indirect add, no name lookup
+// per increment — and readers (benches, tests) look instruments up by
+// name. Instrument addresses are stable for the registry's lifetime
+// (node-based map storage), and snapshot() renders every instrument sorted
+// by name, so two same-seed runs snapshot identically.
 //
 // Naming scheme (see DESIGN.md §8): dotted, lowercase, unit-suffixed for
 // histograms — e.g. "jets.service.jobs.completed",
@@ -101,9 +100,11 @@ class MetricsRegistry {
   }
 
   /// Read-only lookups: value of the named instrument, or 0/null when it
-  /// was never created (reads never create).
+  /// was never created (reads never create). The find_* forms tell an
+  /// unregistered name apart from a zero count.
   std::uint64_t counter_value(std::string_view name) const;
   std::int64_t gauge_value(std::string_view name) const;
+  const Counter* find_counter(std::string_view name) const;
   const Histogram* find_histogram(std::string_view name) const;
 
   std::size_t instrument_count() const {

@@ -23,6 +23,7 @@ namespace {
 
 using test::mpi_job;
 using test::seq_job;
+using test::service_counter;
 
 struct ChaosBed : test::ServiceBed {
   explicit ChaosBed(os::MachineSpec spec)
@@ -105,8 +106,8 @@ MatrixOutcome run_matrix(FaultKind kind, bool mpi, std::uint64_t seed = 7) {
   EXPECT_LT(bed.engine.now(), sim::seconds(600))
       << "batch did not settle under fault kind " << static_cast<int>(kind);
 
-  out.evicted = jets.service().evicted_workers();
-  out.reenlisted = jets.service().reenlisted_workers();
+  out.evicted = service_counter(jets.service(), "workers.evicted");
+  out.reenlisted = service_counter(jets.service(), "workers.reenlisted");
   out.ready_pool_ok = jets.service().ready_pool_consistent();
   for (const auto& ev : log.matching("task:")) {
     if (ev.kind == sim::TraceEvent::Kind::kSpawn) {
@@ -237,9 +238,10 @@ TEST(ChaosTargeted, HungWorkerIsEvictedAndJobRetries) {
   EXPECT_EQ(report.completed, 3u);
   EXPECT_EQ(report.failed, 0u);
   EXPECT_EQ(chaos.counters().workers_hung, 1u);
-  EXPECT_EQ(jets.service().evicted_workers(), 1u);
-  EXPECT_EQ(jets.service().reenlisted_workers(), 0u);  // hung forever
-  EXPECT_GT(jets.service().heartbeats_received(), 0u);
+  EXPECT_EQ(service_counter(jets.service(), "workers.evicted"), 1u);
+  // Hung forever: never re-enlisted.
+  EXPECT_EQ(service_counter(jets.service(), "workers.reenlisted"), 0u);
+  EXPECT_GT(service_counter(jets.service(), "workers.heartbeats"), 0u);
   // Exactly one job needed a second attempt, and the batch outlived the
   // liveness deadline + retry (10 s first wave + 10 s retried task).
   int retried = 0;
@@ -280,8 +282,8 @@ TEST(ChaosTargeted, StalledWorkerIsEvictedThenReenlisted) {
   bed.engine.run();
 
   EXPECT_EQ(report.completed, 4u);
-  EXPECT_EQ(jets.service().evicted_workers(), 1u);
-  EXPECT_EQ(jets.service().reenlisted_workers(), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "workers.evicted"), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "workers.reenlisted"), 1u);
   EXPECT_TRUE(jets.service().ready_pool_consistent());
 }
 
@@ -384,7 +386,7 @@ TEST(ChaosTargeted, IdleHangCaughtAfterAssignment) {
   bed.engine.run();
 
   EXPECT_EQ(report.completed, 2u);
-  EXPECT_EQ(jets.service().evicted_workers(), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "workers.evicted"), 1u);
 }
 
 // Blacklisting: after `blacklist_after` evictions from one node, the
@@ -418,9 +420,9 @@ TEST(ChaosTargeted, BlacklistedNodeIsNotReenlisted) {
   bed.engine.run();
 
   EXPECT_EQ(report.completed, 4u);  // the node-1 worker does all the work
-  EXPECT_EQ(jets.service().evicted_workers(), 1u);
-  EXPECT_EQ(jets.service().reenlisted_workers(), 0u);
-  EXPECT_GE(jets.service().blacklist_rejections(), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "workers.evicted"), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "workers.reenlisted"), 0u);
+  EXPECT_GE(service_counter(jets.service(), "blacklist.rejections"), 1u);
   EXPECT_EQ(jets.service().connected_workers(), 1u);
 }
 

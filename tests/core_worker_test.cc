@@ -6,11 +6,12 @@
 #include "core/service.hh"
 #include "core/standalone.hh"
 #include "core/worker.hh"
-#include "testbed.hh"
+#include "testutil.hh"
 
 namespace jets::core {
 namespace {
 
+using test::service_counter;
 using test::TestBed;
 
 TEST(WorkerProtocol, RunMessageRoundTrips) {
@@ -159,7 +160,7 @@ TEST(ServiceEdge, LateWorkersPickUpQueuedJobs) {
   }(service, done));
   bed.engine.run();
   EXPECT_TRUE(done);
-  EXPECT_EQ(service.completed_jobs(), 2u);
+  EXPECT_EQ(service_counter(service, "jobs.completed"), 2u);
   EXPECT_GE(bed.engine.now(), sim::seconds(30));
 }
 
@@ -194,14 +195,13 @@ TEST(ServiceEdge, RecordsSurviveRetriesWithAccurateAttempts) {
 TEST(ServiceEdge, MpiJobLargerThanAllocationTimesOutCleanly) {
   EdgeBed bed(2);
   bed.machine.shared_fs().put("mpi_sleep", 1'000'000);
-  StandaloneOptions opts;
-  opts.service.default_job_timeout = sim::seconds(20);
-  StandaloneJets jets(bed.machine, bed.apps, opts);
+  StandaloneJets jets(bed.machine, bed.apps, StandaloneOptions{});
   jets.start(bed.nodes(2));
   JobSpec wide;
   wide.kind = JobKind::kMpi;
   wide.nprocs = 16;  // can never fit 2 workers
   wide.argv = {"mpi_sleep", "1"};
+  wide.timeout = sim::seconds(20);
   BatchReport report;
   bed.engine.spawn("t", [](StandaloneJets& jets, JobSpec wide,
                            BatchReport& out) -> sim::Task<void> {

@@ -37,6 +37,7 @@ namespace {
 
 using test::ServiceBed;
 using test::seq_job;
+using test::service_counter;
 
 // --- BatchScheduler allocation lifecycle -------------------------------------
 
@@ -186,7 +187,7 @@ TEST(ElasticService, WalltimeDrainIsBlamelessAndRequeues) {
   for (const auto& nh : jets.checkpoint().node_health) {
     EXPECT_FALSE(nh.banned) << "node " << nh.node;
   }
-  EXPECT_EQ(jets.service().drain_requeues(), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "elastic.drain_requeues"), 1u);
   // The retry ran on the surviving node.
   ASSERT_EQ(rec.nodes.size(), 1u);
   EXPECT_EQ(rec.nodes[0], 1u);
@@ -226,7 +227,7 @@ TEST(ElasticService, ClaimGateRefusesExpiringWorker) {
   EXPECT_EQ(rec.attempts, 1);  // never started on the expiring worker
   ASSERT_EQ(rec.nodes.size(), 1u);
   EXPECT_EQ(rec.nodes[0], 1u);
-  EXPECT_GE(jets.service().gate_refusals(), 1u);
+  EXPECT_GE(service_counter(jets.service(), "elastic.gate_refusals"), 1u);
 }
 
 // --- BlockAllocator controller -----------------------------------------------

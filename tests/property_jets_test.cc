@@ -9,11 +9,12 @@
 #include "apps/synthetic.hh"
 #include "core/chaos.hh"
 #include "core/standalone.hh"
-#include "testbed.hh"
+#include "testutil.hh"
 
 namespace jets::core {
 namespace {
 
+using test::service_counter;
 using test::TestBed;
 
 struct StressBed : TestBed {
@@ -231,11 +232,12 @@ ChaosRunOutcome run_chaos_stress(std::uint64_t seed) {
                        std::to_string(rec.attempts) + ":" +
                        std::to_string(rec.finished_at) + ";";
   }
-  out.fingerprint += "|evicted=" +
-                     std::to_string(jets.service().evicted_workers()) +
-                     "|reenlisted=" +
-                     std::to_string(jets.service().reenlisted_workers()) +
-                     "|hb=" + std::to_string(jets.service().heartbeats_received());
+  const Service& svc = jets.service();
+  out.fingerprint +=
+      "|evicted=" + std::to_string(service_counter(svc, "workers.evicted")) +
+      "|reenlisted=" +
+      std::to_string(service_counter(svc, "workers.reenlisted")) +
+      "|hb=" + std::to_string(service_counter(svc, "workers.heartbeats"));
   return out;
 }
 

@@ -31,6 +31,7 @@ namespace {
 
 using test::mpi_job;
 using test::seq_job;
+using test::service_counter;
 
 struct RecoveryBed : test::ServiceBed {
   explicit RecoveryBed(std::size_t nodes)
@@ -62,7 +63,11 @@ sim::Task<void> settle_poller(StandaloneJets* jets, std::size_t n) {
     co_await sim::delay(sim::milliseconds(200));
     if (!jets->service_up()) continue;
     const Service& s = jets->service();
-    if (s.completed_jobs() + s.failed_jobs() >= n) co_return;
+    if (service_counter(s, "jobs.completed") +
+            service_counter(s, "jobs.failed") >=
+        n) {
+      co_return;
+    }
   }
 }
 
@@ -309,11 +314,11 @@ TEST(Recovery, RestoreRoundTripPreservesSchedulerState) {
 
   // And the drill still finishes all work.
   const Service& svc = jets.service();
-  EXPECT_EQ(svc.completed_jobs(), 8u);
-  EXPECT_EQ(svc.failed_jobs(), 0u);
-  EXPECT_EQ(svc.restores(), 1u);
-  EXPECT_EQ(svc.workers_reconciled(), kNodes);
-  EXPECT_EQ(svc.ghosts_dropped(), 0u);
+  EXPECT_EQ(service_counter(svc, "jobs.completed"), 8u);
+  EXPECT_EQ(service_counter(svc, "jobs.failed"), 0u);
+  EXPECT_EQ(service_counter(svc, "restore.count"), 1u);
+  EXPECT_EQ(service_counter(svc, "restore.workers_reconciled"), kNodes);
+  EXPECT_EQ(service_counter(svc, "restore.ghosts_dropped"), 0u);
   EXPECT_EQ(svc.awaiting_workers(), 0u);
 }
 
@@ -345,13 +350,13 @@ TEST(Recovery, SeqJobsInFlightAreRescuedAcrossCrash) {
   ASSERT_LT(bed.engine.now(), sim::seconds(120)) << "batch did not settle";
 
   const Service& svc = jets.service();
-  EXPECT_EQ(svc.completed_jobs(), 4u);
-  EXPECT_EQ(svc.failed_jobs(), 0u);
+  EXPECT_EQ(service_counter(svc, "jobs.completed"), 4u);
+  EXPECT_EQ(service_counter(svc, "jobs.failed"), 0u);
   // All four in-flight jobs were adopted back and ran to completion on
   // their original pilots — no re-execution, no restart attempts.
-  EXPECT_EQ(svc.jobs_rescued(), 4u);
-  EXPECT_EQ(svc.failures_by_reason(FailureReason::kServiceRestart), 0u);
-  EXPECT_EQ(svc.workers_reconciled(), kNodes);
+  EXPECT_EQ(service_counter(svc, "restore.jobs_rescued"), 4u);
+  EXPECT_EQ(service_counter(svc, "failures.service-restart"), 0u);
+  EXPECT_EQ(service_counter(svc, "restore.workers_reconciled"), kNodes);
   for (JobId id = 1; id <= 4; ++id) {
     EXPECT_EQ(svc.record(id).attempts, 1) << "job " << id;
   }
@@ -388,10 +393,10 @@ TEST(Recovery, ServiceRestartChargesNoRetryBudget) {
   ASSERT_LT(bed.engine.now(), sim::seconds(300)) << "batch did not settle";
 
   const Service& svc = jets.service();
-  EXPECT_EQ(svc.completed_jobs(), 6u);
-  EXPECT_EQ(svc.failed_jobs(), 0u);
+  EXPECT_EQ(service_counter(svc, "jobs.completed"), 6u);
+  EXPECT_EQ(service_counter(svc, "jobs.failed"), 0u);
   // The restart really did interrupt gangs — and charged nobody.
-  EXPECT_GT(svc.failures_by_reason(FailureReason::kServiceRestart), 0u);
+  EXPECT_GT(service_counter(svc, "failures.service-restart"), 0u);
   for (JobId id = 1; id <= 6; ++id) {
     const JobRecord& rec = svc.record(id);
     EXPECT_EQ(rec.status, JobStatus::kDone) << "job " << id;
@@ -429,15 +434,15 @@ TEST(Recovery, GhostsDroppedWhenPilotsNeverRedial) {
   // unsatisfiable, so fail_unsatisfiable (on by default) settles the
   // requeued jobs as kServiceAbort rather than wedging forever.
   const Service& svc = jets.service();
-  EXPECT_EQ(svc.restores(), 1u);
-  EXPECT_EQ(svc.ghosts_dropped(), kNodes);
+  EXPECT_EQ(service_counter(svc, "restore.count"), 1u);
+  EXPECT_EQ(service_counter(svc, "restore.ghosts_dropped"), kNodes);
   EXPECT_EQ(svc.awaiting_workers(), 0u);
-  EXPECT_EQ(svc.workers_reconciled(), 0u);
+  EXPECT_EQ(service_counter(svc, "restore.workers_reconciled"), 0u);
   EXPECT_EQ(svc.connected_workers(), 0u);
   EXPECT_EQ(svc.pending_jobs(), 0u);
-  EXPECT_EQ(svc.failed_jobs(), 3u);
-  EXPECT_EQ(svc.failures_by_reason(FailureReason::kServiceRestart), 3u);
-  EXPECT_EQ(svc.failures_by_reason(FailureReason::kServiceAbort), 3u);
+  EXPECT_EQ(service_counter(svc, "jobs.failed"), 3u);
+  EXPECT_EQ(service_counter(svc, "failures.service-restart"), 3u);
+  EXPECT_EQ(service_counter(svc, "failures.service-abort"), 3u);
 }
 
 TEST(Recovery, MidRunServiceDestructionDisarmsEverything) {
@@ -544,9 +549,9 @@ TEST(Recovery, ChaosServiceCrashFaultDrivesTheDrill) {
   EXPECT_EQ(chaos.counters().services_crashed, 1u);
   EXPECT_EQ(chaos.counters().services_restored, 1u);
   const Service& svc = jets.service();
-  EXPECT_EQ(svc.completed_jobs(), 16u);
-  EXPECT_EQ(svc.failed_jobs(), 0u);
-  EXPECT_EQ(svc.restores(), 1u);
+  EXPECT_EQ(service_counter(svc, "jobs.completed"), 16u);
+  EXPECT_EQ(service_counter(svc, "jobs.failed"), 0u);
+  EXPECT_EQ(service_counter(svc, "restore.count"), 1u);
 }
 
 TEST(Recovery, AttachMetricsIsIdempotent) {
@@ -638,8 +643,10 @@ TEST(Recovery, PropertyFaultSpectrumSurvivesCrashRestore) {
         << "seed " << seed << ": batch did not settle";
 
     const Service& svc = jets.service();
-    EXPECT_EQ(svc.restores(), 1u) << "seed " << seed;
-    EXPECT_EQ(svc.completed_jobs() + svc.failed_jobs(), kJobs)
+    EXPECT_EQ(service_counter(svc, "restore.count"), 1u) << "seed " << seed;
+    EXPECT_EQ(service_counter(svc, "jobs.completed") +
+                  service_counter(svc, "jobs.failed"),
+              kJobs)
         << "seed " << seed;
     // No job may be over-charged: restart attempts count toward neither
     // budget, so attempts > charged failures whenever a restart intervened.

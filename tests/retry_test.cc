@@ -26,6 +26,7 @@ namespace {
 
 using test::mpi_job;
 using test::seq_job;
+using test::service_counter;
 
 struct RetryBed : test::ServiceBed {
   explicit RetryBed(os::MachineSpec spec)
@@ -78,8 +79,8 @@ TEST(RetryTaxonomy, AppExitQuarantinesWithExponentialBackoff) {
   EXPECT_EQ(rec.history[3].backoff, 0);  // terminal: no retry scheduled
   EXPECT_EQ(report.failed, 1u);
   EXPECT_EQ(report.quarantined, 1u);
-  EXPECT_EQ(jets.service().quarantined_jobs(), 1u);
-  EXPECT_EQ(jets.service().failures_by_reason(FailureReason::kAppExit), 4u);
+  EXPECT_EQ(service_counter(jets.service(), "jobs.quarantined"), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "failures.app-exit"), 4u);
   EXPECT_EQ(jets.service().retries_scheduled(), 3u);
 }
 
@@ -110,7 +111,7 @@ TEST(RetryTaxonomy, SocketCloseRecordsWorkerLost) {
   EXPECT_EQ(retried->history[1].reason, FailureReason::kNone);
   EXPECT_EQ(retried->infra_failures, 1);
   EXPECT_EQ(retried->app_failures, 0);
-  EXPECT_EQ(jets.service().failures_by_reason(FailureReason::kWorkerLost), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "failures.worker-lost"), 1u);
 }
 
 // kLivenessEvicted: a hung pilot keeps its socket open; only the liveness
@@ -134,7 +135,7 @@ TEST(RetryTaxonomy, HangRecordsLivenessEvicted) {
       run(bed, jets, &chaos, std::vector<JobSpec>(2, seq_job({"sleep", "10"})));
 
   EXPECT_EQ(report.completed, 2u);
-  EXPECT_EQ(jets.service().evicted_workers(), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "workers.evicted"), 1u);
   const JobRecord* retried = nullptr;
   for (const JobRecord& rec : report.records) {
     if (rec.attempts > 1) retried = &rec;
@@ -142,7 +143,7 @@ TEST(RetryTaxonomy, HangRecordsLivenessEvicted) {
   ASSERT_NE(retried, nullptr);
   EXPECT_EQ(retried->history[0].reason, FailureReason::kLivenessEvicted);
   EXPECT_GT(retried->history[0].backoff, 0);
-  EXPECT_EQ(jets.service().failures_by_reason(FailureReason::kLivenessEvicted),
+  EXPECT_EQ(service_counter(jets.service(), "failures.liveness-evicted"),
             1u);
 }
 
@@ -173,9 +174,9 @@ TEST(RetryTaxonomy, GangPartnerLossThenUnsatisfiableWidth) {
   EXPECT_GT(rec.history[0].backoff, 0);
   // Settled by the degradation check, not by a deadline (none is set).
   EXPECT_EQ(rec.last_reason, FailureReason::kServiceAbort);
-  EXPECT_EQ(jets.service().failures_by_reason(FailureReason::kGangPartnerLost),
+  EXPECT_EQ(service_counter(jets.service(), "failures.gang-partner-lost"),
             1u);
-  EXPECT_EQ(jets.service().failures_by_reason(FailureReason::kServiceAbort),
+  EXPECT_EQ(service_counter(jets.service(), "failures.service-abort"),
             1u);
 }
 
@@ -217,7 +218,7 @@ TEST(RetryTaxonomy, HangBeforeDialBackRecordsLaunchTimeout) {
   // with max_attempts=1 an app-charged failure could never have retried.
   EXPECT_EQ(rec.app_failures, 0);
   EXPECT_EQ(rec.infra_failures, 1);
-  EXPECT_EQ(jets.service().failures_by_reason(FailureReason::kLaunchTimeout),
+  EXPECT_EQ(service_counter(jets.service(), "failures.launch-timeout"),
             1u);
 }
 
@@ -244,7 +245,7 @@ TEST(RetryTaxonomy, DeadlineRecordsJobDeadline) {
   EXPECT_EQ(rec.history[0].reason, FailureReason::kJobDeadline);
   EXPECT_EQ(rec.history[0].exit_status, 124);
   EXPECT_EQ(rec.history[0].backoff, 0);
-  EXPECT_EQ(jets.service().failures_by_reason(FailureReason::kJobDeadline), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "failures.job-deadline"), 1u);
 }
 
 // kServiceAbort without any attempt: every worker of a once-large-enough
@@ -275,16 +276,16 @@ TEST(RetryTaxonomy, ShrunkMachineAbortsQueuedWideJob) {
 
   EXPECT_EQ(report.completed, 0u);
   EXPECT_EQ(report.failed, 3u);
-  EXPECT_EQ(jets.service().evicted_workers(), 2u);
+  EXPECT_EQ(service_counter(jets.service(), "workers.evicted"), 2u);
   for (const JobRecord& rec : report.records) {
     EXPECT_EQ(rec.status, JobStatus::kFailed);
     EXPECT_EQ(rec.last_reason, FailureReason::kServiceAbort);
   }
   // The wide job never got an attempt; the sequential jobs each lost one
   // to an eviction first.
-  EXPECT_EQ(jets.service().failures_by_reason(FailureReason::kLivenessEvicted),
+  EXPECT_EQ(service_counter(jets.service(), "failures.liveness-evicted"),
             2u);
-  EXPECT_EQ(jets.service().failures_by_reason(FailureReason::kServiceAbort),
+  EXPECT_EQ(service_counter(jets.service(), "failures.service-abort"),
             3u);
 }
 
@@ -339,10 +340,11 @@ TEST(RetryPolicyEngine, BlacklistProbationParolesNode) {
   BatchReport report = run(bed, jets, &chaos, std::move(jobs));
 
   EXPECT_EQ(report.completed, 5u);
-  EXPECT_EQ(jets.service().evicted_workers(), 1u);
-  EXPECT_GE(jets.service().blacklist_rejections(), 1u);  // during probation
-  EXPECT_EQ(jets.service().blacklist_paroles(), 1u);
-  EXPECT_EQ(jets.service().reenlisted_workers(), 1u);  // after parole
+  EXPECT_EQ(service_counter(jets.service(), "workers.evicted"), 1u);
+  // Rejected during probation, re-enlisted after parole.
+  EXPECT_GE(service_counter(jets.service(), "blacklist.rejections"), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "blacklist.paroles"), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "workers.reenlisted"), 1u);
   EXPECT_TRUE(jets.service().ready_pool_consistent());
 }
 

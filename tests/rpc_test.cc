@@ -963,6 +963,7 @@ namespace jets::core {
 namespace {
 
 using test::seq_job;
+using test::service_counter;
 
 // A worker that disconnects between task claim and flush: the "run"
 // message's reply can never arrive, and the failure must surface through
@@ -989,7 +990,7 @@ TEST(RpcService, RunToDisconnectedWorkerSurfacesAsPeerClosed) {
   ASSERT_NE(retried, nullptr);
   ASSERT_GE(retried->history.size(), 2u);
   EXPECT_EQ(retried->history[0].reason, FailureReason::kWorkerLost);
-  EXPECT_EQ(jets.service().failures_by_reason(FailureReason::kWorkerLost), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "failures.worker-lost"), 1u);
   // The typed layer saw the disconnect: the in-flight "done" reply was
   // drained (or a post-EOF send refused) with kPeerClosed.
   EXPECT_GE(jets.service().metrics().counter_value("jets.rpc.peer_closed"), 1u);

@@ -36,6 +36,7 @@ namespace {
 
 using test::mpi_job;
 using test::seq_job;
+using test::service_counter;
 
 // --- Digests and the wire codec ----------------------------------------------
 
@@ -270,12 +271,14 @@ TEST(StagingService, DedupAcrossJobsSharingInputs) {
 
   EXPECT_EQ(report.completed, 8u);
   const Service& svc = jets.service();
-  EXPECT_EQ(svc.stage_requests(), 8u * kNodes * 2);
-  EXPECT_EQ(svc.stage_pushes(), kNodes * 2);  // cold fan-out only
-  EXPECT_EQ(svc.stage_warm_hits(), 7u * kNodes * 2);
-  EXPECT_EQ(svc.stage_bytes_pushed(), kNodes * 10'000'000u);
-  EXPECT_EQ(svc.stage_bytes_saved(), 7u * kNodes * 10'000'000u);
-  EXPECT_EQ(svc.stage_acks_lost(), 0u);
+  EXPECT_EQ(service_counter(svc, "staging.requests"), 8u * kNodes * 2);
+  // Cold fan-out only.
+  EXPECT_EQ(service_counter(svc, "staging.pushes"), kNodes * 2);
+  EXPECT_EQ(service_counter(svc, "staging.warm_hits"), 7u * kNodes * 2);
+  EXPECT_EQ(service_counter(svc, "staging.bytes_pushed"), kNodes * 10'000'000u);
+  EXPECT_EQ(service_counter(svc, "staging.bytes_saved"),
+            7u * kNodes * 10'000'000u);
+  EXPECT_EQ(service_counter(svc, "staging.acks_lost"), 0u);
 }
 
 TEST(StagingService, PeerCopyServesNodesTheServiceAlreadyFed) {
@@ -299,10 +302,12 @@ TEST(StagingService, PeerCopyServesNodesTheServiceAlreadyFed) {
   EXPECT_EQ(r2.completed, 1u);
 
   const Service& svc = jets.service();
-  EXPECT_EQ(svc.stage_pushes(), 2u);       // job 1: nodes 0 and 1
-  EXPECT_EQ(svc.stage_warm_hits(), 2u);    // job 2: nodes 0 and 1
-  EXPECT_EQ(svc.stage_peer_copies(), 2u);  // job 2: nodes 2 and 3
-  EXPECT_EQ(svc.stage_bytes_pushed(), 2u * 8'000'000);
+  // Job 1 pushes to nodes 0 and 1; job 2 hits warm on nodes 0 and 1 and
+  // copies from a peer to nodes 2 and 3.
+  EXPECT_EQ(service_counter(svc, "staging.pushes"), 2u);
+  EXPECT_EQ(service_counter(svc, "staging.warm_hits"), 2u);
+  EXPECT_EQ(service_counter(svc, "staging.peer_copies"), 2u);
+  EXPECT_EQ(service_counter(svc, "staging.bytes_pushed"), 2u * 8'000'000);
 }
 
 TEST(StagingService, EvictionReportsKeepResidencyHonest) {
@@ -325,9 +330,11 @@ TEST(StagingService, EvictionReportsKeepResidencyHonest) {
 
   EXPECT_EQ(report.completed, 3u);
   const Service& svc = jets.service();
-  EXPECT_EQ(svc.stage_pushes(), 3u);  // a, b, a again after b evicted it
-  EXPECT_EQ(svc.stage_warm_hits(), 0u);
-  EXPECT_EQ(svc.stage_evictions(), 2u);  // b evicts a, then a evicts b
+  // a, b, then a again after b evicted it.
+  EXPECT_EQ(service_counter(svc, "staging.pushes"), 3u);
+  EXPECT_EQ(service_counter(svc, "staging.warm_hits"), 0u);
+  // b evicts a, then a evicts b.
+  EXPECT_EQ(service_counter(svc, "staging.evictions"), 2u);
 }
 
 TEST(StagingService, WorkerLostMidStageDoesNotStrandTheBatch) {
@@ -369,8 +376,9 @@ TEST(StagingService, WorkerLostMidStageDoesNotStrandTheBatch) {
 
   EXPECT_EQ(report.completed, 1u);
   const Service& svc = jets.service();
-  EXPECT_EQ(svc.stage_acks_lost(), 1u);
-  EXPECT_EQ(svc.stage_pushes(), 2u);  // the retry re-stages from scratch
+  EXPECT_EQ(service_counter(svc, "staging.acks_lost"), 1u);
+  // The retry re-stages from scratch.
+  EXPECT_EQ(service_counter(svc, "staging.pushes"), 2u);
 }
 
 TEST(StagingService, DataAwareClaimPrefersTheWarmWindow) {
@@ -397,11 +405,12 @@ TEST(StagingService, DataAwareClaimPrefersTheWarmWindow) {
   ASSERT_EQ(r1.records[0].nodes, (std::vector<os::NodeId>{0, 1}));
   ASSERT_EQ(r1.records[1].nodes, (std::vector<os::NodeId>{2, 3}));
 
-  const auto warm_before = jets.service().stage_warm_hits();
+  const auto warm_before = service_counter(jets.service(), "staging.warm_hits");
   auto r2 = bed.run_chaos(jets, nullptr, {jy});
   ASSERT_EQ(r2.completed, 1u);
   EXPECT_EQ(r2.records[0].nodes, (std::vector<os::NodeId>{2, 3}));
-  EXPECT_EQ(jets.service().stage_warm_hits(), warm_before + 2);
+  EXPECT_EQ(service_counter(jets.service(), "staging.warm_hits"),
+            warm_before + 2);
 }
 
 // --- Determinism -------------------------------------------------------------
@@ -413,7 +422,6 @@ std::uint64_t cold_run_digest(bool enabled) {
   StagingBed bed(kNodes);
   StandaloneOptions options = StagingBed::fast_options();
   options.service.staging_cache = enabled;
-  options.service.data_aware_grouping = enabled;
   StandaloneJets jets(bed.machine, bed.apps, options);
   StagingBed::enlist(jets, kNodes);
 
@@ -423,7 +431,7 @@ std::uint64_t cold_run_digest(bool enabled) {
   jobs.push_back(mpi_job(4, {"mpi_sleep", "1"}));
   const auto report = bed.run_chaos(jets, nullptr, std::move(jobs));
   EXPECT_EQ(report.completed, 8u);
-  EXPECT_EQ(jets.service().stage_requests(), 0u);
+  EXPECT_EQ(service_counter(jets.service(), "staging.requests"), 0u);
   return fold_records(report);
 }
 
@@ -455,10 +463,10 @@ WarmRun warm_run() {
   EXPECT_EQ(report.completed, 6u);
   WarmRun out;
   out.digest = fold_records(report);
-  out.requests = jets.service().stage_requests();
-  out.pushes = jets.service().stage_pushes();
-  out.warm_hits = jets.service().stage_warm_hits();
-  out.bytes_pushed = jets.service().stage_bytes_pushed();
+  out.requests = service_counter(jets.service(), "staging.requests");
+  out.pushes = service_counter(jets.service(), "staging.pushes");
+  out.warm_hits = service_counter(jets.service(), "staging.warm_hits");
+  out.bytes_pushed = service_counter(jets.service(), "staging.bytes_pushed");
   return out;
 }
 
@@ -516,7 +524,7 @@ TEST(StagingSnapshot, RestoreCarriesResidencyAcrossACrash) {
   spec.stage_files = {"ens_a"};
   auto r1 = bed.run_chaos(jets, nullptr, {spec});
   ASSERT_EQ(r1.completed, 1u);
-  ASSERT_EQ(jets.service().stage_pushes(), 1u);
+  ASSERT_EQ(service_counter(jets.service(), "staging.pushes"), 1u);
 
   const Snapshot snap = jets.checkpoint();
   jets.crash_service();
@@ -535,8 +543,9 @@ TEST(StagingSnapshot, RestoreCarriesResidencyAcrossACrash) {
   bed.engine.run_until(sim::seconds(600));
   ASSERT_LT(bed.engine.now(), sim::seconds(600)) << "batch did not settle";
   EXPECT_EQ(r2.completed, 1u);
-  EXPECT_EQ(jets.service().stage_pushes(), 1u);  // counters restored, no re-push
-  EXPECT_EQ(jets.service().stage_warm_hits(), 1u);
+  // Counters restored, no re-push.
+  EXPECT_EQ(service_counter(jets.service(), "staging.pushes"), 1u);
+  EXPECT_EQ(service_counter(jets.service(), "staging.warm_hits"), 1u);
 }
 
 }  // namespace

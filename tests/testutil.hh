@@ -1,14 +1,16 @@
 // Shared JETS-service fixture for the integration suites (core_service,
 // chaos, retry, scale): a TestBed with the synthetic apps installed, the
-// suites' common job-spec factories, and batch-driving helpers. Binary
-// sizes stay a per-suite choice — staging cost is part of what several
-// tests time — so each suite passes its own manifest to the constructor.
+// suites' common job-spec factories, batch-driving helpers, and the
+// by-name reader of the service's registry counters. Binary sizes stay a
+// per-suite choice — staging cost is part of what several tests time — so
+// each suite passes its own manifest to the constructor.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -89,6 +91,20 @@ struct ServiceBed : TestBed {
     return report;
   }
 };
+
+/// The service counter registered as "jets.service.<name>" (for example
+/// "jobs.completed"). The registry is the service's only counter view; a
+/// name it never registered fails the calling test instead of reading 0.
+inline std::uint64_t service_counter(const core::Service& svc,
+                                     std::string_view name) {
+  const std::string full = "jets.service." + std::string(name);
+  const obs::Counter* c = svc.metrics().find_counter(full);
+  if (c == nullptr) {
+    ADD_FAILURE() << "no counter registered as " << full;
+    return 0;
+  }
+  return c->value;
+}
 
 inline core::JobSpec seq_job(std::vector<std::string> argv) {
   core::JobSpec s;
